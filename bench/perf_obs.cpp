@@ -226,9 +226,12 @@ int main(int argc, char** argv) {
                             .entries;
     }
   }
-  const bool merge_ok = merged.attributed_ticks() == per_job_ticks &&
-                        merged_entries == per_job_entries &&
-                        merged.attributed_ticks() <= merged.total_ticks();
+  const bool merge_ok =
+      merged.attributed_ticks() == per_job_ticks &&
+      merged_entries == per_job_entries &&
+      merged.residual_ticks() ==
+          static_cast<std::int64_t>(merged.total_ticks()) -
+              static_cast<std::int64_t>(merged.attributed_ticks());
   std::printf("pool merge (%u jobs): %s (%llu attributed ticks)\n", pool_jobs,
               merge_ok ? "consistent" : "MISMATCH",
               static_cast<unsigned long long>(merged.attributed_ticks()));

@@ -1,21 +1,12 @@
-// Sweep-pool + parallel-tick scaling harness (docs/PERFORMANCE.md). Two
-// sections:
+// Sweep-pool scaling harness (docs/PERFORMANCE.md). The same 8-job M8
+// policy sweep (one job per Policy, the shape of a real figure harness) runs
+// through run_many() at GPUQOS_THREADS = 1, 2, 4, 8. The `sweep_threads`
+// section records the wall time and speedup-vs-serial at each setting, the
+// host's core count, and per-thread-count agreement: every pooled run must
+// produce the exact FPS vector of the serial run (results[i] <- jobs[i], and
+// each job owns its engine/RNG/stats), so any divergence fails the harness.
 //
-//   sweep_threads — the same 8-job M8 policy sweep (one job per Policy, the
-//   shape of a real figure harness) run through run_many() at GPUQOS_THREADS
-//   = 1, 2, 4, 8. Records the wall time and speedup-vs-serial at each
-//   setting, plus per-thread-count agreement: every pooled run must produce
-//   the exact FPS vector of the serial run (results[i] <- jobs[i], and each
-//   job owns its engine/RNG/stats), so any divergence fails the harness.
-//
-//   tick_parallel — one end-to-end M8 ThrotCPUprio run at
-//   GPUQOS_TICK_THREADS = 1 (serial reference) and 2 (partitioned per-cycle
-//   tick). The two runs must report the same FPS (the digest-level claim is
-//   proven by ctest -R tick_invariance); the section records the wall times,
-//   the speedup, and the host's core count — intra-run gains need real
-//   parallel hardware, so single-core readings are expected to be <= 1x.
-//
-// Both sections splice into BENCH_engine.json (written by perf_engine; run
+// The section splices into BENCH_engine.json (written by perf_engine; run
 // that first) rather than a separate file, so the one report carries the
 // single-run and the sweep-level scaling story. GPUQOS_FAST=1 shrinks the
 // per-job budget for CI smoke runs. Usage:
@@ -120,7 +111,7 @@ bool splice_section(const std::string& path, const std::string& key,
 
 int main(int argc, char** argv) {
   std::string out = "BENCH_engine.json";
-  cli::OptionSet opts("[--out FILE]", "Sweep-pool + parallel-tick scaling harness\n(docs/PERFORMANCE.md); splices into BENCH_engine.json written by\nperf_engine. GPUQOS_FAST=1 shrinks budgets.");
+  cli::OptionSet opts("[--out FILE]", "Sweep-pool scaling harness (docs/PERFORMANCE.md); splices\ninto BENCH_engine.json written by perf_engine. GPUQOS_FAST=1\nshrinks budgets.");
   opts.str("--out", "FILE", "report destination (default BENCH_engine.json)",
            &out);
   std::vector<const char*> positional;
@@ -161,35 +152,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Parallel-tick A/B: one end-to-end M8 run, serial tick vs. partitioned
-  // tick. FPS must agree exactly; wall-clock gain requires real cores.
-  std::printf("\nparallel tick, single M8 ThrotCPUprio run:\n");
-  const SimConfig cfg = Presets::scaled();
-  double tick_secs[2] = {0.0, 0.0};
-  double tick_fps[2] = {0.0, 0.0};
-  const unsigned tick_threads[2] = {1, 2};
-  for (int i = 0; i < 2; ++i) {
-    char tbuf[16];
-    std::snprintf(tbuf, sizeof tbuf, "%u", tick_threads[i]);
-    setenv("GPUQOS_TICK_THREADS", tbuf, 1);
-    const auto t0 = std::chrono::steady_clock::now();
-    tick_fps[i] = run_hetero(cfg, m, Policy::ThrottleCpuPrio, scale).fps;
-    tick_secs[i] = seconds_since(t0);
-    std::printf("  GPUQOS_TICK_THREADS=%u  %7.2fs  %5.2fx\n", tick_threads[i],
-                tick_secs[i],
-                tick_secs[i] > 0 ? tick_secs[0] / tick_secs[i] : 0.0);
-  }
-  setenv("GPUQOS_TICK_THREADS", "1", 1);
-  if (tick_fps[0] != tick_fps[1]) {
-    std::fprintf(stderr,
-                 "FAIL: parallel-tick run differs from serial (fps %f vs "
-                 "%f)\n",
-                 tick_fps[1], tick_fps[0]);
-    return 1;
-  }
-
   std::ostringstream sec;
   sec << "  \"sweep_threads\": {\n    \"mix\": \"M8\", \"jobs\": " << kJobs
+      << ", \"host_cores\": " << std::thread::hardware_concurrency()
       << ",\n    \"curve\": [\n";
   char buf[160];
   for (std::size_t i = 0; i < curve.size(); ++i) {
@@ -205,25 +170,10 @@ int main(int argc, char** argv) {
   sec << "    ],\n    \"results_identical_across_thread_counts\": true\n"
       << "  }\n";
 
-  std::ostringstream tsec;
-  std::snprintf(buf, sizeof buf,
-                "  \"tick_parallel\": {\n    \"mix\": \"M8\", \"policy\": "
-                "\"ThrotCPUprio\", \"host_cores\": %u,\n",
-                std::thread::hardware_concurrency());
-  tsec << buf;
-  std::snprintf(buf, sizeof buf,
-                "    \"serial_seconds\": %.3f, \"parallel_seconds\": %.3f, "
-                "\"speedup\": %.3f,\n",
-                tick_secs[0], tick_secs[1],
-                tick_secs[1] > 0 ? tick_secs[0] / tick_secs[1] : 0.0);
-  tsec << buf << "    \"results_identical\": true\n  }\n";
-
-  if (!splice_section(out, "sweep_threads", sec.str()) ||
-      !splice_section(out, "tick_parallel", tsec.str())) {
+  if (!splice_section(out, "sweep_threads", sec.str())) {
     std::fprintf(stderr, "cannot update %s\n", out.c_str());
     return 1;
   }
-  std::printf("\nspliced \"sweep_threads\" + \"tick_parallel\" into %s\n",
-              out.c_str());
+  std::printf("\nspliced \"sweep_threads\" into %s\n", out.c_str());
   return 0;
 }

@@ -8,7 +8,10 @@
 //    for message delivery, cache lookup completion, and DRAM data return.
 //
 // Events scheduled for the same cycle run in scheduling order (stable), and
-// all events of a cycle run before that cycle's tickers.
+// all events of a cycle run before that cycle's tickers. Tickers due on the
+// same cycle fire in registration order (HeteroCmp registers the GPU memory
+// interface before the pipeline so it ticks first), and a zero-delay event
+// scheduled by a ticker runs after every ticker of that cycle.
 //
 // Internals (docs/PERFORMANCE.md has the full story; engine_ref.hpp keeps the
 // original priority-queue implementation as a semantic oracle):
@@ -33,33 +36,10 @@
 //    depends on now() alone may therefore observe an overshoot of up to the
 //    smallest ticker period minus one. Any simulation with a period-1 ticker
 //    (every gpuqos mix: CPU cores) never skips, so fixtures are unaffected.
-//
-// Parallel tick (docs/PERFORMANCE.md "The parallel tick model"):
-//  * Every ticker belongs to a TickDomain. Main-domain tickers (the default)
-//    always run on the main thread; Cpu/Gpu/Dram tickers of the same cycle
-//    may run concurrently on a persistent worker group when
-//    GPUQOS_TICK_THREADS > 1 (1 = the serial reference path, bit-identical
-//    by construction since the parallel machinery is never entered).
-//  * While a domain's tickers run in the parallel phase, Engine::schedule()
-//    self-defers into a per-domain buffer instead of touching the shared
-//    queues, and modules route cross-domain side effects through
-//    Engine::defer_host(). At the cycle barrier the main thread replays all
-//    deferred ops merged by originating-ticker registration index — which
-//    reproduces the exact serial interleaving (and event seq numbering)
-//    because each ticker belongs to exactly one domain and each domain fires
-//    its due tickers in registration order. Main-domain tickers then run
-//    inline, guarded by a runtime check that every due Main ticker was
-//    registered after every due parallel ticker (the ordering contract that
-//    makes "parallel first, Main last" equal serial order).
-//  * Cycles where fewer than two parallel domains are due skip the barrier
-//    entirely and fire serially — with the standard clock dividers that is
-//    every cycle not congruent to 0 or 1 mod 4.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/smallfn.hpp"
@@ -78,22 +58,12 @@ class Engine {
   /// larger (or potentially-throwing) payloads fall back to the heap.
   using Action = SmallFn<void(), 104>;
   using TickFn = SmallFn<void(Cycle)>;
-  /// Deferred host-side op (defer_host): sized to hold a re-dispatched ring
-  /// send (an Action plus routing fields) inline.
-  using HostFn = SmallFn<void(), 152>;
-
-  /// Which executor a ticker's callback runs on during the parallel phase.
-  /// Main (the default) is everything that must observe the merged
-  /// post-barrier state: the governor, auditors, digest/telemetry samplers.
-  enum class TickDomain : std::uint8_t { Main = 0, Cpu, Gpu, Dram };
-  static constexpr int kNumTickDomains = 4;
 
   static constexpr std::uint32_t kWheelBits = 8;
   static constexpr Cycle kWheelSize = Cycle{1} << kWheelBits;
   static constexpr Cycle kWheelMask = kWheelSize - 1;
 
-  Engine();
-  ~Engine();
+  Engine() : buckets_(kWheelSize) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -101,38 +71,11 @@ class Engine {
 
   /// Schedule `fn` to run `delay` cycles from now (delay 0 = later this cycle
   /// if scheduled from an event, or next event phase if from a ticker).
-  /// Thread-aware: called from a parallel-phase ticker it defers into the
-  /// calling domain's buffer for serial-order replay at the cycle barrier.
   void schedule(Cycle delay, Action fn);
 
   /// Register a periodic ticker. Tickers fire on cycles where
-  /// (cycle % period) == phase. This overload registers on the Main domain.
+  /// (cycle % period) == phase; same-cycle tickers in registration order.
   void add_ticker(Cycle period, Cycle phase, TickFn fn);
-
-  /// Register a ticker on an explicit domain. Cpu/Gpu/Dram tickers of one
-  /// cycle may run concurrently; everything they publish to other domains
-  /// must go through schedule()/defer_host() (see header comment).
-  void add_ticker(TickDomain domain, Cycle period, Cycle phase, TickFn fn);
-
-  /// True while the calling thread is firing a parallel-phase ticker (its
-  /// schedules are being deferred). Modules use this to route whole
-  /// operations through defer_host() when they would touch shared state.
-  [[nodiscard]] static bool deferring();
-
-  /// Run `fn` now when called outside the parallel phase; otherwise append
-  /// it to the calling domain's defer buffer so it replays on the main
-  /// thread at the cycle barrier, in serial order.
-  static void defer_host(HostFn fn);
-
-  /// Hook invoked once on each tick-worker thread at spawn (worker index
-  /// 0-based) — used to wire thread-local log cycle sources and profiler
-  /// lanes. Must be set before the first parallel cycle fires.
-  void set_worker_init(std::function<void(unsigned)> init) {
-    worker_init_ = std::move(init);
-  }
-
-  /// Configured tick parallelism (GPUQOS_TICK_THREADS, clamped; 1 = serial).
-  [[nodiscard]] unsigned tick_threads() const { return tick_threads_; }
 
   /// Advance one cycle: run due events, then tickers.
   void step();
@@ -191,44 +134,17 @@ class Engine {
   struct Ticker {
     Cycle period;
     Cycle next_fire;  // absolute cycle of the next firing
-    TickDomain domain;
     TickFn fn;
   };
-
-  /// One deferred cross-domain op captured during the parallel phase.
-  /// Tagged with the originating ticker's registration index so the barrier
-  /// replay can k-way merge the per-domain buffers back into serial order.
-  struct DeferredOp {
-    std::uint32_t ticker;
-    bool is_schedule;
-    Cycle delay;   // schedule ops: delay relative to the deferring cycle
-    Action act;    // schedule payload
-    HostFn host;   // host-effect payload
-  };
-  struct DeferBuf {
-    std::uint32_t cur_ticker = 0;  // index of the ticker currently firing
-    std::uint64_t fired = 0;       // tickers fired this cycle (perf counter)
-    std::vector<DeferredOp> ops;
-  };
-  struct TickWorkers;  // persistent worker group (engine.cpp)
 
   /// Move far events whose cycle entered the wheel horizon into buckets.
   void refill_wheel();
   /// Run every event in the current cycle's bucket (including ones appended
   /// mid-drain by zero-delay schedules), then release the bucket.
   void drain_bucket();
-  /// Fire tickers due at now_ and recompute the cached minimum next_fire.
+  /// Fire tickers due at now_ in registration order and recompute the
+  /// cached minimum next_fire.
   void fire_tickers();
-  /// Serial reference firing: all due tickers in registration order.
-  void fire_due_serial();
-  /// Parallel-phase firing: classify due tickers by domain, dispatch to the
-  /// worker group, barrier, merge-replay deferred ops, run Main tickers.
-  void fire_tickers_parallel();
-  /// Fire one domain's due tickers on the calling thread, deferring their
-  /// schedules into the domain buffer. Runs on workers and the main thread.
-  void run_domain(TickDomain d);
-  /// Spawn the worker group on first parallel use (GPUQOS_TICK_THREADS > 1).
-  void ensure_workers();
   /// One full cycle at now_ (events, tickers, trailing events), then advance.
   void step_cycle();
 
@@ -245,22 +161,6 @@ class Engine {
   // are excluded from the digest; their schedule is recomputed on load.
   std::vector<Ticker> tickers_;     // digest:skip: instrumentation varies
   Cycle min_next_fire_ = kNoCycle;  // ckpt:skip digest:skip: cached minimum
-  // Parallel-tick machinery: host-side only, empty at every cycle boundary,
-  // and bit-invisible to the simulation (replay reproduces serial order).
-  // ckpt:skip digest:skip on all of it.
-  unsigned tick_threads_ = 1;  // ckpt:skip digest:skip: host parallelism knob
-  std::function<void(unsigned)> worker_init_;  // ckpt:skip digest:skip: hook
-  // Per-domain defer buffers + due-ticker scratch, drained within each
-  // fire_tickers_parallel call.
-  std::array<DeferBuf, kNumTickDomains> bufs_;  // ckpt:skip digest:skip
-  std::array<std::vector<std::uint32_t>, kNumTickDomains>
-      due_;                             // ckpt:skip digest:skip: scratch
-  std::unique_ptr<TickWorkers> workers_;  // ckpt:skip digest:skip: threads
-  // Points at the defer buffer of the domain this thread is currently
-  // firing; null outside the parallel phase (then schedule() is direct).
-  // NOLINT-gpuqos(thread-purity): audited — per-thread, never shared; see
-  // the definition in engine.cpp.
-  static thread_local DeferBuf* t_defer_;
 };
 
 }  // namespace gpuqos

@@ -19,8 +19,7 @@ DramController::DramController(Engine& engine, const DramConfig& cfg,
     channels_.push_back(std::make_unique<Channel>(engine, cfg, c, stats));
     channels_.back()->set_scheduler(schedulers_.back().get());
     Channel* ch = channels_.back().get();
-    engine.add_ticker(Engine::TickDomain::Dram, kDramClockDivider,
-                      /*phase=*/c % kDramClockDivider,
+    engine.add_ticker(kDramClockDivider, /*phase=*/c % kDramClockDivider,
                       [ch](Cycle) { ch->tick(); });
   }
 }

@@ -1,6 +1,5 @@
 #include "obs/profiler.hpp"
 
-#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -50,27 +49,11 @@ void Profiler::stop() {
           .count();
 }
 
-namespace {
-// Lane index of the calling thread; lane 0 (main) unless the engine's
-// worker-init hook selected another via set_thread_lane().
-// NOLINT-gpuqos(thread-purity): audited — per-thread lane selector that
-// *partitions* profiler state between threads instead of sharing it, and a
-// pool worker inherits the default main lane for its own Profiler instance.
-thread_local int t_prof_lane = 0;
-}  // namespace
-
-void Profiler::set_thread_lane(int lane) {
-  t_prof_lane = lane < 0 ? 0 : (lane >= kMaxLanes ? kMaxLanes - 1 : lane);
-}
-
-Profiler::Lane& Profiler::this_lane() { return lanes_[t_prof_lane]; }
-
 void Profiler::enter(ProfModule m, std::uint32_t scale) {
-  Lane& lane = this_lane();
-  GPUQOS_CHECK(lane.depth < kMaxDepth, "profiler scope depth exceeds "
-                                           << kMaxDepth << " entering "
-                                           << to_string(m));
-  Frame& f = lane.stack[lane.depth++];
+  GPUQOS_CHECK(depth_ < kMaxDepth, "profiler scope depth exceeds "
+                                       << kMaxDepth << " entering "
+                                       << to_string(m));
+  Frame& f = stack_[depth_++];
   f.m = m;
   f.child = 0;
   f.scale = scale;
@@ -78,27 +61,16 @@ void Profiler::enter(ProfModule m, std::uint32_t scale) {
 }
 
 void Profiler::leave() {
-  Lane& lane = this_lane();
-  GPUQOS_CHECK(lane.depth > 0, "profiler leave() without enter()");
-  const Frame& f = lane.stack[--lane.depth];
+  GPUQOS_CHECK(depth_ > 0, "profiler leave() without enter()");
+  const Frame& f = stack_[--depth_];
   const std::uint64_t elapsed = now_ticks() - f.start;
   const std::uint64_t self = elapsed > f.child ? elapsed - f.child : 0;
-  Slot& s = lane.slots[static_cast<int>(phase_)][static_cast<int>(f.m)];
+  Slot& s = slots_[static_cast<int>(phase_)][static_cast<int>(f.m)];
   s.self_ticks += self * f.scale;
   s.entries += f.scale;
   // The parent sees the *real* elapsed time: extrapolation only scales this
   // module's attribution, never the enclosing frame's bookkeeping.
-  if (lane.depth > 0) lane.stack[lane.depth - 1].child += elapsed;
-}
-
-Profiler::Slot Profiler::slot(ProfPhase p, ProfModule m) const {
-  Slot out;
-  for (const Lane& lane : lanes_) {
-    const Slot& s = lane.slots[static_cast<int>(p)][static_cast<int>(m)];
-    out.self_ticks += s.self_ticks;
-    out.entries += s.entries;
-  }
-  return out;
+  if (depth_ > 0) stack_[depth_ - 1].child += elapsed;
 }
 
 void Profiler::flush(Cycle now) {
@@ -116,12 +88,10 @@ void Profiler::flush(Cycle now) {
 }
 
 void Profiler::merge(const Profiler& other) {
-  for (int l = 0; l < kMaxLanes; ++l) {
-    for (int p = 0; p < kNumProfPhases; ++p) {
-      for (int m = 0; m < kNumProfModules; ++m) {
-        lanes_[l].slots[p][m].self_ticks += other.lanes_[l].slots[p][m].self_ticks;
-        lanes_[l].slots[p][m].entries += other.lanes_[l].slots[p][m].entries;
-      }
+  for (int p = 0; p < kNumProfPhases; ++p) {
+    for (int m = 0; m < kNumProfModules; ++m) {
+      slots_[p][m].self_ticks += other.slots_[p][m].self_ticks;
+      slots_[p][m].entries += other.slots_[p][m].entries;
     }
   }
   std::uint64_t other_ticks = other.run_ticks_;
@@ -135,21 +105,20 @@ void Profiler::merge(const Profiler& other) {
 std::uint64_t Profiler::total_ticks() const {
   std::uint64_t t = run_ticks_;
   if (running_) t += now_ticks() - run_start_ticks_;
-  // The run window can never under-report the scoped time (a scope that
-  // straddles start() could); clamp so the residual stays non-negative.
-  return std::max(t, attributed_ticks());
+  return t;
 }
 
 std::uint64_t Profiler::attributed_ticks() const {
   std::uint64_t t = 0;
-  for (const Lane& lane : lanes_) {
-    for (int p = 0; p < kNumProfPhases; ++p) {
-      for (int m = 0; m < kNumProfModules; ++m) {
-        t += lane.slots[p][m].self_ticks;
-      }
-    }
+  for (const auto& phase : slots_) {
+    for (const Slot& s : phase) t += s.self_ticks;
   }
   return t;
+}
+
+std::int64_t Profiler::residual_ticks() const {
+  return static_cast<std::int64_t>(total_ticks()) -
+         static_cast<std::int64_t>(attributed_ticks());
 }
 
 double Profiler::wall_seconds() const {
@@ -177,36 +146,32 @@ std::string Profiler::table() const {
   os << ")\n";
   os << "  module        warm%  measure%   total%   seconds     entries\n";
   for (int m = 0; m < kNumProfModules; ++m) {
-    std::uint64_t self = 0;
+    double self = 0.0;
     std::uint64_t entries = 0;
-    std::array<std::uint64_t, kNumProfPhases> by_phase{};
+    std::array<double, kNumProfPhases> by_phase{};
     if (m == static_cast<int>(ProfModule::Engine)) {
-      // Residual row: everything not inside a scope. Phase split follows
-      // the scoped ticks' split (the residual itself is not phase-stamped).
-      self = total - attributed_ticks();
-      by_phase[0] = self;  // reported under total%; warm/measure left 0
+      // Residual row: everything not inside a scope, signed. It is not
+      // phase-stamped, so only total% and seconds are filled in.
+      self = static_cast<double>(residual_ticks());
     } else {
       for (int p = 0; p < kNumProfPhases; ++p) {
         const Slot s =
             slot(static_cast<ProfPhase>(p), static_cast<ProfModule>(m));
-        by_phase[static_cast<std::size_t>(p)] = s.self_ticks;
-        self += s.self_ticks;
+        by_phase[static_cast<std::size_t>(p)] =
+            static_cast<double>(s.self_ticks);
+        self += static_cast<double>(s.self_ticks);
         entries += s.entries;
       }
     }
-    const auto pct = [&](std::uint64_t t) {
-      return total > 0 ? 100.0 * static_cast<double>(t) /
-                             static_cast<double>(total)
-                       : 0.0;
+    const auto pct = [&](double t) {
+      return total > 0 ? 100.0 * t / static_cast<double>(total) : 0.0;
     };
     os << "  " << std::left << std::setw(12) << to_string(
                                                     static_cast<ProfModule>(m))
        << std::right << std::setw(7) << std::setprecision(2)
-       << (m == static_cast<int>(ProfModule::Engine) ? 0.0 : pct(by_phase[0]))
-       << std::setw(10) << pct(by_phase[1]) << std::setw(9) << pct(self)
-       << std::setw(10) << std::setprecision(3)
-       << static_cast<double>(self) * per_tick << std::setw(12) << entries
-       << "\n";
+       << pct(by_phase[0]) << std::setw(10) << pct(by_phase[1])
+       << std::setw(9) << pct(self) << std::setw(10) << std::setprecision(3)
+       << self * per_tick << std::setw(12) << entries << "\n";
   }
   return os.str();
 }
@@ -233,7 +198,7 @@ std::string Profiler::to_json() const {
     }
     os << "}";
   }
-  os << "},\"engine_residual_ticks\":" << (total - attributed_ticks())
+  os << "},\"engine_residual_ticks\":" << residual_ticks()
      << ",\"flushes\":" << flushes_.size() << "}";
   return os.str();
 }

@@ -5,8 +5,11 @@
 // elapsed ticks from the enclosing frame, so nesting (a DRAM completion that
 // wakes LLC waiters that re-enter the ring) attributes each tick to exactly
 // one module. Everything outside any scope is the engine's own dispatch
-// overhead and is reported as the explicit "engine" residual row, which makes
-// the attribution table sum to the run total by construction.
+// overhead and is reported as the explicit "engine" residual row: the run
+// window minus the attributed ticks. The residual is signed and never
+// clamped — sampled scopes (SampledProfScope) extrapolate their timed
+// entries, so the attributed sum is an estimate, and a negative residual
+// means the extrapolation overshot the window.
 //
 // Attribution is split per phase (warm-up vs measured window) because the
 // warm-up runs different code proportions (no sampling, colder caches).
@@ -17,15 +20,9 @@
 // simulated state, so digests are identical with and without it (host ticks
 // stay on the host side).
 //
-// Pool safety: a Profiler has no global state; run_many() workers profile
-// into per-job instances that the caller merges with merge() at join.
-//
-// Parallel-tick safety: inside one run, tick workers (engine.hpp) enter and
-// leave scopes concurrently with the main thread. Each thread writes its own
-// cache-line-aligned lane (scope stack + slot matrix), selected by
-// set_thread_lane() from the engine's worker-init hook; readers (flush,
-// table, to_json, slot()) aggregate across lanes and only run on the main
-// thread between cycles, when workers are parked at the barrier.
+// Pool safety: a Profiler has no global state and is used by one thread;
+// run_many() workers profile into per-job instances that the caller merges
+// with merge() at join.
 #pragma once
 
 #include <array>
@@ -115,11 +112,6 @@ class Profiler {
   void enter(ProfModule m, std::uint32_t scale = 1);
   void leave();
 
-  /// Select the calling thread's attribution lane (clamped to
-  /// [0, kMaxLanes)). The main thread defaults to lane 0; the engine's
-  /// tick workers take lanes 1..kMaxLanes-1 via the worker-init hook.
-  static void set_thread_lane(int lane);
-
   /// Record a cumulative snapshot of per-module self ticks (periodic flush;
   /// wired as an engine ticker by HeteroCmp::attach_telemetry).
   void flush(Cycle now);
@@ -129,20 +121,25 @@ class Profiler {
   /// concatenated; run windows add up.
   void merge(const Profiler& other);
 
-  /// Aggregated (across thread lanes) attribution for one phase x module.
-  [[nodiscard]] Slot slot(ProfPhase p, ProfModule m) const;
+  /// Attribution for one phase x module.
+  [[nodiscard]] Slot slot(ProfPhase p, ProfModule m) const {
+    return slots_[static_cast<int>(p)][static_cast<int>(m)];
+  }
   /// Ticks between start() and stop() (this instance + merged ones).
   [[nodiscard]] std::uint64_t total_ticks() const;
   /// Sum of per-module self ticks across both phases (excludes residual).
   [[nodiscard]] std::uint64_t attributed_ticks() const;
+  /// The "engine" row: total_ticks() - attributed_ticks(), negative when the
+  /// sampled extrapolation overshoots the run window.
+  [[nodiscard]] std::int64_t residual_ticks() const;
   [[nodiscard]] double wall_seconds() const;
   [[nodiscard]] const std::vector<FlushRecord>& flushes() const {
     return flushes_;
   }
 
   /// Human-readable end-of-run attribution table (docs/OBSERVABILITY.md):
-  /// one row per module incl. the "engine" residual, per-phase and total
-  /// percentages; rows sum to 100% of the run window.
+  /// one row per module incl. the signed "engine" residual, per-phase and
+  /// total percentages; rows sum to 100% of the run window.
   [[nodiscard]] std::string table() const;
 
   /// {"total_ticks":N,"wall_seconds":S,"modules":{"llc":{"warm":{...},...}}}
@@ -151,11 +148,6 @@ class Profiler {
   /// Append "prof" (per phase x module) and "prof.flush" streams to a
   /// binlog (obs/binlog.hpp).
   void write_binlog(BinLogWriter& w) const;
-
- public:
-  /// Main thread + up to three tick workers (the engine spawns at most two
-  /// today; one spare lane keeps the clamp cheap).
-  static constexpr int kMaxLanes = 4;
 
  private:
   static constexpr int kMaxDepth = 16;
@@ -167,17 +159,9 @@ class Profiler {
     std::uint32_t scale = 1;
   };
 
-  /// One thread's attribution state, cache-line aligned so concurrent
-  /// enter/leave on different lanes never share a line.
-  struct alignas(64) Lane {
-    Slot slots[kNumProfPhases][kNumProfModules];
-    Frame stack[kMaxDepth];
-    int depth = 0;
-  };
-
-  [[nodiscard]] Lane& this_lane();
-
-  Lane lanes_[kMaxLanes];
+  Slot slots_[kNumProfPhases][kNumProfModules];
+  Frame stack_[kMaxDepth];
+  int depth_ = 0;
   ProfPhase phase_ = ProfPhase::Warm;
 
   bool running_ = false;

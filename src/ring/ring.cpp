@@ -30,16 +30,6 @@ unsigned RingNetwork::hops(unsigned from, unsigned to) const {
 
 void RingNetwork::send(unsigned from, unsigned to, Engine::Action fn,
                        Traffic traffic) {
-  if (Engine::deferring()) {
-    // Parallel tick phase: the ring's link reservations, stats, and
-    // telemetry are shared across domains (CPU cores and the GPU memory
-    // interface both send), so the whole send re-dispatches at the cycle
-    // barrier, where it runs in serial order on the main thread.
-    Engine::defer_host([this, from, to, f = std::move(fn), traffic]() mutable {
-      send(from, to, std::move(f), traffic);
-    });
-    return;
-  }
   SampledProfScope<16> prof(prof_, ProfModule::Ring, prof_decim_);
   GPUQOS_CHECK(from < stops_ && to < stops_,
                "stop out of range: " << from << " -> " << to << " on a "

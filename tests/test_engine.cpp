@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -199,6 +200,17 @@ std::vector<std::pair<Cycle, int>> random_workload_trace() {
   Rng rng(0xC0FFEE);
   std::vector<std::pair<Cycle, int>> trace;
   int next_id = 0;
+  // Period-1 ticker as in the real sims, registered first. On cycles where
+  // the period-3 ticker also fires it schedules a zero-delay event, which
+  // pins the ticker ordering contract: same-cycle tickers fire in
+  // registration order, and zero-delay work from a ticker runs only after
+  // every ticker of that cycle.
+  e.add_ticker(1, 0, [&](Cycle c) {
+    trace.emplace_back(c, -2);
+    if (c % 3 == 1) {
+      e.schedule(0, [&e, &trace] { trace.emplace_back(e.now(), -3); });
+    }
+  });
   e.add_ticker(3, 1, [&](Cycle c) {
     trace.emplace_back(c, -1);
     if (c < 3000 && rng.bernoulli(0.7)) {
@@ -209,7 +221,6 @@ std::vector<std::pair<Cycle, int>> random_workload_trace() {
       e.schedule(d, [&e, &trace, id] { trace.emplace_back(e.now(), id); });
     }
   });
-  e.add_ticker(1, 0, [&](Cycle) {});  // period-1 ticker as in the real sims
   e.run_for(4000);
   return trace;
 }
@@ -219,6 +230,11 @@ TEST(EngineDifferential, RandomWorkloadMatchesReferenceEngine) {
   const auto ref = random_workload_trace<ReferenceEngine>();
   ASSERT_EQ(fast.size(), ref.size());
   EXPECT_EQ(fast, ref);
+  // Cycle 1: period-1 ticker, period-3 ticker, then the zero-delay event.
+  const std::vector<std::pair<Cycle, int>> head{
+      {0, -2}, {1, -2}, {1, -1}, {1, -3}};
+  ASSERT_GE(fast.size(), head.size());
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), fast.begin()));
 }
 
 // ---------------------------------------------------------------------------

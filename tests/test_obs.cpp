@@ -336,8 +336,8 @@ TEST(Profiler, NestedScopesAttributeSelfTimeOnce) {
   // keeps only its entry/exit slack after the child subtraction.
   EXPECT_GT(dram, 0u);
   EXPECT_LT(llc, dram);
-  // Rows sum to the run window: attributed never exceeds total.
-  EXPECT_LE(p.attributed_ticks(), p.total_ticks());
+  // Exact scopes nest inside the run window, so nothing is over-attributed.
+  EXPECT_GE(p.residual_ticks(), 0);
   EXPECT_EQ(p.attributed_ticks(), llc + dram);
 }
 
@@ -363,6 +363,36 @@ TEST(Profiler, SampledScopeExtrapolatesEntries) {
   p.stop();
   // 64 calls at stride 16: 4 timed entries extrapolated x16 back to 64.
   EXPECT_EQ(p.slot(ProfPhase::Warm, ProfModule::CpuCore).entries, 64u);
+}
+
+TEST(Profiler, SampledOvershootReportsNegativeResidual) {
+  Profiler p;
+  p.start();
+  std::uint32_t decim = 0;  // 0: this entry is the timed one of 16
+  {
+    SampledProfScope<16> s(&p, ProfModule::CpuCore, decim);
+    volatile std::uint64_t sink = 0;
+    for (int i = 0; i < 1'000'000; ++i) sink = sink + 1;
+  }
+  p.stop();
+  // One timed entry extrapolated x16 claims far more than the window held;
+  // the residual reports that overshoot instead of being clamped to zero.
+  EXPECT_GT(p.attributed_ticks(), p.total_ticks());
+  EXPECT_LT(p.residual_ticks(), 0);
+
+  // The table's engine row: name, warm%, measure%, total%, seconds, entries.
+  const std::string table = p.table();
+  const std::size_t row = table.find("\n  engine ");
+  ASSERT_NE(row, std::string::npos) << table;
+  std::istringstream is(table.substr(row));
+  std::string name;
+  double warm = 0, measure = 0, total = 0, secs = 0;
+  ASSERT_TRUE(is >> name >> warm >> measure >> total >> secs) << table;
+  EXPECT_EQ(name, "engine");
+  EXPECT_LT(total, 0.0) << table;
+  EXPECT_LT(secs, 0.0) << table;
+  EXPECT_NE(p.to_json().find("\"engine_residual_ticks\":-"),
+            std::string::npos);
 }
 
 TEST(Profiler, NullProfilerScopesAreNoOps) {
@@ -432,7 +462,9 @@ TEST(Profiler, HeteroRunAttributesHostTime) {
   const Profiler* p = tel.profiler();
   ASSERT_NE(p, nullptr);
   EXPECT_FALSE(p->running());  // finalize() closed the run window
-  EXPECT_LE(p->attributed_ticks(), p->total_ticks());
+  EXPECT_EQ(p->residual_ticks(), static_cast<std::int64_t>(p->total_ticks()) -
+                                     static_cast<std::int64_t>(
+                                         p->attributed_ticks()));
   EXPECT_GT(p->attributed_ticks(), 0u);
   // Every simulated module saw at least one scope in each phase.
   for (ProfModule m : {ProfModule::CpuCore, ProfModule::GpuPipeline,
