@@ -20,8 +20,12 @@ constexpr std::array<std::uint32_t, 256> make_crc_table() {
 }
 
 void append(std::vector<std::uint8_t>& out, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), p, p + n);
+  // resize + memcpy rather than insert: GCC 12's -Wstringop-overflow
+  // misfires on vector::insert of a small fixed-size range.
+  if (n == 0) return;
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  std::memcpy(out.data() + at, data, n);
 }
 
 template <class T>

@@ -29,12 +29,44 @@ void Engine::schedule(Cycle delay, Action fn) {
   }
 }
 
-void Engine::add_ticker(Cycle period, Cycle phase, TickFn fn) {
-  const Cycle ph = phase % period;
-  const Cycle rem = now_ % period;
-  const Cycle first = now_ + (ph >= rem ? ph - rem : period - (rem - ph));
-  tickers_.push_back(Ticker{period, first, std::move(fn)});
-  min_next_fire_ = std::min(min_next_fire_, first);
+Engine::TickerId Engine::add_ticker(Cycle period, Cycle phase, TickFn fn) {
+  Ticker t{period, phase % period, 0, std::move(fn)};
+  t.next_fire = t.slot_at_or_after(now_);
+  min_next_fire_ = std::min(min_next_fire_, t.next_fire);
+  tickers_.push_back(std::move(t));
+  return tickers_.size() - 1;
+}
+
+Cycle Engine::open_slot(TickerId id) const {
+  return tickers_[id].slot_at_or_after(id < cursor_ ? now_ + 1 : now_);
+}
+
+void Engine::park(TickerId id, Cycle until) {
+  Ticker& t = tickers_[id];
+  // fire_tickers advanced next_fire before the callback, so the ticker's
+  // own next slot is the floor; fire_tickers folds the result afterwards.
+  t.next_fire = until == kNoCycle
+                    ? kNoCycle
+                    : std::max(t.next_fire, t.slot_at_or_after(until));
+}
+
+void Engine::wake(TickerId id) {
+  Ticker& t = tickers_[id];
+  const Cycle slot = open_slot(id);
+  if (slot >= t.next_fire) return;  // awake
+  t.next_fire = slot;
+  // Mid-loop, fire_tickers folds every ticker it has yet to visit itself
+  // (and fires one woken for now_); folding such a ticker here would pin
+  // the minimum to a slot the loop is about to consume.
+  if (cursor_ == 0 || id < cursor_) {
+    min_next_fire_ = std::min(min_next_fire_, slot);
+  }
+}
+
+Cycle Engine::slot_horizon(TickerId id) const {
+  const Cycle open = open_slot(id);
+  const Cycle period = tickers_[id].period;
+  return open >= period ? open - period : kNoCycle;
 }
 
 void Engine::refill_wheel() {
@@ -66,16 +98,18 @@ void Engine::drain_bucket() {
 }
 
 void Engine::fire_tickers() {
-  Cycle next_min = kNoCycle;
-  for (auto& t : tickers_) {
+  min_next_fire_ = kNoCycle;
+  for (std::size_t i = 0; i < tickers_.size(); ++i) {
+    Ticker& t = tickers_[i];
     if (t.next_fire == now_) {
+      // Advance first so the callback may park() over the next slot.
+      t.next_fire += t.period;
+      cursor_ = i + 1;
       t.fn(now_);
       ++ticks_run_;
-      t.next_fire += t.period;
     }
-    next_min = std::min(next_min, t.next_fire);
+    min_next_fire_ = std::min(min_next_fire_, t.next_fire);
   }
-  min_next_fire_ = next_min;
 }
 
 void Engine::step_cycle() {
@@ -83,8 +117,10 @@ void Engine::step_cycle() {
   drain_bucket();
   if (min_next_fire_ == now_) fire_tickers();
   // Zero-delay events scheduled by tickers still belong to this cycle.
+  cursor_ = kPastTickers;
   drain_bucket();
   ++now_;
+  cursor_ = 0;
 }
 
 void Engine::step() { step_cycle(); }
@@ -164,9 +200,9 @@ void Engine::save(ckpt::StateWriter& w) const {
   w.u64(events_run_);
   w.u64(ticks_run_);
   w.u64(tickers_.size());
-  for (const auto& t : tickers_) {
-    w.u64(t.period);
-    w.u64(t.next_fire);
+  for (TickerId id = 0; id < tickers_.size(); ++id) {
+    w.u64(tickers_[id].period);
+    w.u64(open_slot(id));  // a parked ticker is saved awake
   }
 }
 
@@ -196,6 +232,7 @@ void Engine::load(ckpt::StateReader& r) {
              "); tickers must be registered in the same order with the same "
              "periods as the run that produced the snapshot");
     }
+    t.phase = next_fire % period;
     t.next_fire = next_fire;
     min_next_fire_ = std::min(min_next_fire_, next_fire);
   }

@@ -3,7 +3,8 @@
 // The engine owns the base clock (CPU cycles). Components interact two ways:
 //  * Tickers: registered callbacks invoked every `period` base cycles with a
 //    fixed phase — used by CPU cores (period 1), the GPU pipeline (period 4),
-//    and the DRAM channels (period 4).
+//    and the DRAM channels (period 4). A ticker whose next ticks would be
+//    no-ops may park itself and be woken later (see "Parking" below).
 //  * Events: one-shot callbacks scheduled `delay` cycles in the future — used
 //    for message delivery, cache lookup completion, and DRAM data return.
 //
@@ -31,11 +32,25 @@
 //    modulo-tested every cycle, and the engine caches the minimum across
 //    tickers, so a no-ticker cycle costs one comparison.
 //  * run_for/run_until skip ahead over provably idle gaps (no due event, no
-//    due ticker) instead of stepping through them. Note: the run_until
-//    predicate is not evaluated inside a skipped gap; a predicate that
-//    depends on now() alone may therefore observe an overshoot of up to the
-//    smallest ticker period minus one. Any simulation with a period-1 ticker
-//    (every gpuqos mix: CPU cores) never skips, so fixtures are unaffected.
+//    due ticker) instead of stepping through them. The run_until predicate
+//    is not evaluated inside a skipped gap, and parked tickers make gaps
+//    common even with period-1 cores, so a predicate with a cycle threshold
+//    must also make that cycle a run target (max_cycles) or it may observe
+//    an overshoot. A predicate over simulated state is exact: state only
+//    changes on stepped cycles, and the predicate runs after every one.
+//
+// Parking (docs/PERFORMANCE.md, "Event-driven cores and DRAM channels"):
+//  * park(id, until), called from ticker `id`'s own callback, skips its slots
+//    before `until` (kNoCycle: until woken). wake(id) re-arms it at its first
+//    slot that has not yet passed: the current cycle when called from the
+//    leading event phase or from a ticker registered before it, otherwise
+//    its next slot. slot_horizon(id) is the last cycle whose slot for `id`
+//    has passed, fired or skipped — what a parked component needs to count
+//    its skipped ticks lazily.
+//  * Parking only moves a ticker's next_fire; no wake-up schedules an event,
+//    so seq_ and the engine digest are those of a never-parking run. save()
+//    writes every ticker's next awake slot, so a snapshot holds the same
+//    schedule too; only the host-side ticks_run_ count differs.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +73,9 @@ class Engine {
   /// larger (or potentially-throwing) payloads fall back to the heap.
   using Action = SmallFn<void(), 104>;
   using TickFn = SmallFn<void(Cycle)>;
+  using TickerId = std::size_t;
+  /// Ticker id of a component never given one (it never parks).
+  static constexpr TickerId kNoTicker = ~TickerId{0};
 
   static constexpr std::uint32_t kWheelBits = 8;
   static constexpr Cycle kWheelSize = Cycle{1} << kWheelBits;
@@ -75,7 +93,21 @@ class Engine {
 
   /// Register a periodic ticker. Tickers fire on cycles where
   /// (cycle % period) == phase; same-cycle tickers in registration order.
-  void add_ticker(Cycle period, Cycle phase, TickFn fn);
+  TickerId add_ticker(Cycle period, Cycle phase, TickFn fn);
+
+  /// From ticker `id`'s own callback: skip its slots before `until`
+  /// (kNoCycle = until woken). Only a ticker whose skipped ticks would be
+  /// no-ops may park, and it must count anything those ticks would have
+  /// counted itself (slot_horizon).
+  void park(TickerId id, Cycle until);
+
+  /// Re-arm ticker `id` at its first slot that has not yet passed. A no-op
+  /// for a ticker that is awake.
+  void wake(TickerId id);
+
+  /// Last cycle whose slot for ticker `id` has passed (fired or skipped), or
+  /// kNoCycle when none has.
+  [[nodiscard]] Cycle slot_horizon(TickerId id) const;
 
   /// Advance one cycle: run due events, then tickers.
   void step();
@@ -108,7 +140,8 @@ class Engine {
   /// Serialize the clock and ticker phases (docs/CHECKPOINT.md). Event
   /// payloads are closures and cannot be serialized, so save() requires the
   /// engine to be drained (pending_events() == 0) — HeteroCmp's barrier
-  /// drain guarantees this.
+  /// drain guarantees this. Each ticker is saved at its next awake slot, so
+  /// a parked ticker restores awake.
   void save(ckpt::StateWriter& w) const;
 
   /// Restore into a freshly-constructed engine whose tickers have already
@@ -133,9 +166,21 @@ class Engine {
   };
   struct Ticker {
     Cycle period;
-    Cycle next_fire;  // absolute cycle of the next firing
+    Cycle phase;
+    Cycle next_fire;  // absolute cycle of the next firing (later if parked)
     TickFn fn;
+
+    /// First slot at or after cycle `c`.
+    [[nodiscard]] Cycle slot_at_or_after(Cycle c) const {
+      const Cycle rem = c % period;
+      return c + (phase >= rem ? phase - rem : period - (rem - phase));
+    }
   };
+  /// cursor_ value for the trailing event phase: every slot of now_ passed.
+  static constexpr std::size_t kPastTickers = ~std::size_t{0};
+
+  /// First slot of ticker `id` that has not yet passed.
+  [[nodiscard]] Cycle open_slot(TickerId id) const;
 
   /// Move far events whose cycle entered the wheel horizon into buckets.
   void refill_wheel();
@@ -143,7 +188,7 @@ class Engine {
   /// mid-drain by zero-delay schedules), then release the bucket.
   void drain_bucket();
   /// Fire tickers due at now_ in registration order and recompute the
-  /// cached minimum next_fire.
+  /// cached minimum next_fire (wake() keeps it exact mid-loop).
   void fire_tickers();
   /// One full cycle at now_ (events, tickers, trailing events), then advance.
   void step_cycle();
@@ -161,6 +206,10 @@ class Engine {
   // are excluded from the digest; their schedule is recomputed on load.
   std::vector<Ticker> tickers_;     // digest:skip: instrumentation varies
   Cycle min_next_fire_ = kNoCycle;  // ckpt:skip digest:skip: cached minimum
+  // Position within now_: tickers below it have passed their slot (0 =
+  // leading event phase, kPastTickers = trailing). Always 0 between cycles,
+  // where save() and digest() run.
+  std::size_t cursor_ = 0;  // ckpt:skip digest:skip: transient position
 };
 
 }  // namespace gpuqos

@@ -22,6 +22,7 @@ void StatRegistry::set(const std::string& name, double value) {
 }
 
 std::uint64_t StatRegistry::counter(const std::string& name) const {
+  settle();
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
@@ -36,6 +37,7 @@ bool StatRegistry::has_counter(const std::string& name) const {
 }
 
 std::map<std::string, std::uint64_t> StatRegistry::counters() const {
+  settle();
   return counters_;
 }
 
@@ -51,12 +53,14 @@ std::uint64_t StatRegistry::since(
 }
 
 void StatRegistry::clear() {
+  settle();  // owed counts belong to the period being cleared
   // Zero rather than erase: hot-path counter_ptr() pointers stay valid.
   for (auto& [name, value] : counters_) value = 0;
   for (auto& [name, value] : scalars_) value = 0.0;
 }
 
 std::string StatRegistry::report(const std::string& prefix) const {
+  settle();
   std::ostringstream os;
   for (const auto& [name, value] : counters_) {
     if (name.rfind(prefix, 0) == 0) os << name << ' ' << value << '\n';
@@ -68,6 +72,7 @@ std::string StatRegistry::report(const std::string& prefix) const {
 }
 
 std::string StatRegistry::to_json() const {
+  settle();
   std::ostringstream os;
   os << "{\"counters\":{";
   bool first = true;
@@ -88,6 +93,7 @@ std::string StatRegistry::to_json() const {
 }
 
 std::uint64_t StatRegistry::digest() const {
+  settle();
   Fnv1a64 h;
   for (const auto& [name, value] : counters_) {
     h.mix_string(name);
@@ -101,6 +107,7 @@ std::uint64_t StatRegistry::digest() const {
 }
 
 void StatRegistry::save(ckpt::StateWriter& w) const {
+  settle();
   w.u64(counters_.size());
   for (const auto& [name, value] : counters_) {
     w.str(name);
@@ -116,6 +123,8 @@ void StatRegistry::save(ckpt::StateWriter& w) const {
 void StatRegistry::load(ckpt::StateReader& r) {
   // Assign into the maps rather than swapping them out: modules cached
   // counter_ptr() nodes at construction and those pointers must stay live.
+  // Settle first, so no owed count lands on top of the loaded values.
+  settle();
   const std::uint64_t nc = r.u64();
   for (std::uint64_t i = 0; i < nc; ++i) {
     const std::string name = r.str();
@@ -126,6 +135,20 @@ void StatRegistry::load(ckpt::StateReader& r) {
     const std::string name = r.str();
     scalars_[name] = r.f64();
   }
+}
+
+void StatRegistry::add_settle_hook(const void* owner,
+                                   std::function<void()> fn) {
+  settle_hooks_.emplace_back(owner, std::move(fn));
+}
+
+void StatRegistry::remove_settle_hooks(const void* owner) {
+  std::erase_if(settle_hooks_,
+                [owner](const auto& hook) { return hook.first == owner; });
+}
+
+void StatRegistry::settle() const {
+  for (const auto& [owner, fn] : settle_hooks_) fn();
 }
 
 double geomean(const std::vector<double>& values) {

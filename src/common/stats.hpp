@@ -3,11 +3,18 @@
 // Components register counters/scalars under hierarchical names
 // ("llc.miss.gpu", "dram.ch0.read_bytes"). The registry supports snapshots so
 // experiment runners can subtract warm-up activity from measured activity.
+//
+// A component that counts lazily (a parked CPU core owes one stall per
+// skipped tick) registers a settle hook; every read of the counters, and
+// clear() and load(), runs the hooks first, so no reader can observe a
+// counter that is behind the simulation.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gpuqos {
@@ -63,9 +70,20 @@ class StatRegistry {
   void save(ckpt::StateWriter& w) const;
   void load(ckpt::StateReader& r);
 
+  /// Register `fn` to bring `owner`'s lazily-counted counters up to date
+  /// before any read. The owner must remove its hooks before it dies.
+  void add_settle_hook(const void* owner, std::function<void()> fn);
+  void remove_settle_hooks(const void* owner);
+
  private:
+  void settle() const;
+
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> scalars_;
+  // Host-side wiring: hooks only write owed counts into counters_, which
+  // are saved and digested themselves.
+  std::vector<std::pair<const void*, std::function<void()>>>
+      settle_hooks_;  // ckpt:skip digest:skip: wiring, not state
 };
 
 /// Geometric mean of strictly positive values; returns 0 for empty input.

@@ -38,6 +38,42 @@ CpuCore::CpuCore(Engine& engine, const CpuCoreConfig& cfg, unsigned index,
   st_committed_ = stats_.counter_ptr(stat_prefix_ + "committed_instrs");
 }
 
+CpuCore::~CpuCore() { stats_.remove_settle_hooks(this); }
+
+void CpuCore::set_ticker(Engine::TickerId id) {
+  ticker_ = id;
+  stats_.add_settle_hook(this, [this] { settle_stalls(); });
+}
+
+void CpuCore::park(Park why, Cycle now) {
+  if (ticker_ == Engine::kNoTicker) return;
+  park_ = why;
+  settled_through_ = now;
+  engine_.park(ticker_, why == Park::Fixed ? resume_at_ : kNoCycle);
+}
+
+void CpuCore::settle_stalls() {
+  if (park_ == Park::None) return;
+  // Every slot passed since the last settle was skipped while stalled, up
+  // to the end of a fixed stall: its park ends by itself at resume_at_, and
+  // that tick is a real one.
+  Cycle horizon = engine_.slot_horizon(ticker_);
+  if (horizon == kNoCycle) return;
+  if (park_ == Park::Fixed) horizon = std::min(horizon, resume_at_ - 1);
+  if (horizon <= settled_through_) return;
+  std::uint64_t* counter = park_ == Park::Fixed       ? st_stall_fixed_
+                           : park_ == Park::Dependent ? st_stall_dep_
+                                                      : st_stall_rob_;
+  *counter += horizon - settled_through_;
+  settled_through_ = horizon;
+}
+
+void CpuCore::unpark() {
+  settle_stalls();
+  park_ = Park::None;
+  engine_.wake(ticker_);
+}
+
 bool CpuCore::rob_full() const {
   std::uint64_t oldest = ~std::uint64_t{0};
   for (const auto& m : outstanding_) {
@@ -52,8 +88,13 @@ void CpuCore::tick(Cycle now) {
   // Sampled (1-in-16) scope: a full rdtsc pair per core per base cycle
   // would dominate the <10% telemetry-overhead budget.
   SampledProfScope<16> prof(prof_, ProfModule::CpuCore, prof_decim_);
+  if (park_ == Park::Fixed) {  // the park ended by itself at resume_at_
+    settle_stalls();
+    park_ = Park::None;
+  }
   if (now < resume_at_) {
     ++*st_stall_fixed_;
+    park(Park::Fixed, now);
     return;
   }
   if (blocking_miss_ >= 0) {
@@ -64,6 +105,7 @@ void CpuCore::tick(Cycle now) {
     // at issue is strictly increasing between mem ops... see execute_mem_op).
     if (it != outstanding_.end() && !it->done) {
       ++*st_stall_dep_;
+      park(Park::Dependent, now);
       return;
     }
     blocking_miss_ = -1;
@@ -93,6 +135,7 @@ void CpuCore::tick(Cycle now) {
     }
     if (rob_full()) {
       ++*st_stall_rob_;
+      park(Park::Rob, now);
       break;
     }
     if (!execute_mem_op(now)) {
@@ -103,8 +146,14 @@ void CpuCore::tick(Cycle now) {
     ++*st_committed_;
     --budget;
     has_pending_ = false;
-    if (blocking_miss_ >= 0) break;  // dependent load: stop committing
-    if (now < resume_at_) break;     // L2-hit penalty starts next cycle
+    if (blocking_miss_ >= 0) {  // dependent load: stop committing
+      park(Park::Dependent, now);
+      break;
+    }
+    if (now < resume_at_) {  // L2-hit penalty starts next cycle
+      park(Park::Fixed, now);
+      break;
+    }
   }
 }
 
@@ -135,7 +184,7 @@ bool CpuCore::execute_mem_op(Cycle now) {
   // right after issuing, bumping committed_).
   const std::uint64_t id = committed_;
   outstanding_.push_back(Miss{id, false});
-  send_llc_read(block, now, outstanding_.size() - 1);
+  send_llc_read(block, now);
   if (pending_.dependent) blocking_miss_ = static_cast<std::int64_t>(id);
   ++*st_llc_reads_;
   maybe_prefetch(block, now);
@@ -183,8 +232,7 @@ void CpuCore::maybe_prefetch(Addr miss_block, Cycle now) {
   trackers_[hit].next = next;
 }
 
-void CpuCore::send_llc_read(Addr block, Cycle now, std::size_t miss_slot) {
-  (void)miss_slot;
+void CpuCore::send_llc_read(Addr block, Cycle now) {
   GPUQOS_CHECK(port_, "core " << index_ << " has no LLC port wired");
   const std::uint64_t id = outstanding_.back().seq;
   const bool dirty_fill = pending_.is_store;
@@ -200,6 +248,11 @@ void CpuCore::send_llc_read(Addr block, Cycle now, std::size_t miss_slot) {
     if (it != outstanding_.end() && !it->done) {
       it->done = true;
       ++done_misses_;
+      if (park_ == Park::Rob ||
+          (park_ == Park::Dependent &&
+           blocking_miss_ == static_cast<std::int64_t>(id))) {
+        unpark();
+      }
     }
     *st_read_lat_ += when - now;
     l2_insert(block, dirty_fill, when);
@@ -301,6 +354,7 @@ void CpuCore::save(ckpt::StateWriter& w) const {
 }
 
 void CpuCore::load(ckpt::StateReader& r) {
+  park_ = Park::None;  // the restored engine schedules every ticker awake
   committed_ = r.u64();
   resume_at_ = r.u64();
   blocking_miss_ = r.i64();

@@ -6,6 +6,16 @@
 // (b) the reorder window past the oldest outstanding miss is exhausted, or
 // (c) L2 MSHRs are full. This captures the latency/bandwidth sensitivity the
 // paper's policies act on without simulating a full pipeline.
+//
+// Event-driven stalls: a core given its ticker id (set_ticker) parks after
+// a tick that ends in an L2-hit penalty, a dependent-miss stall or a
+// ROB-full stall, since every tick until that stall ends would only bump
+// its stall counter. It wakes on its own at the end of an L2-hit penalty,
+// on the completion of the blocking miss, or on the completion of any
+// demand miss (a ROB-full stall: the next tick compacts outstanding_,
+// which the digest folds). The skipped ticks' stalls are added lazily by a
+// StatRegistry settle hook before any counter read. An MSHR-full stall
+// keeps ticking: each attempt touches the L1.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +41,9 @@ class CpuCore {
 
   CpuCore(Engine& engine, const CpuCoreConfig& cfg, unsigned index,
           std::unique_ptr<CpuStream> stream, StatRegistry& stats);
+  ~CpuCore();
+  CpuCore(const CpuCore&) = delete;
+  CpuCore& operator=(const CpuCore&) = delete;
 
   void set_mem_port(MemPort port) { port_ = std::move(port); }
 
@@ -42,6 +55,10 @@ class CpuCore {
   /// Advance one CPU cycle (registered as a period-1 ticker by HeteroCmp; or
   /// called directly by tests).
   void tick(Cycle now);
+
+  /// The id of the engine ticker that calls tick(). Call once; from then on
+  /// the core parks through its stalls (see the header comment).
+  void set_ticker(Engine::TickerId id);
 
   /// Drop `addr` from the private hierarchy (LLC back-invalidation).
   /// Returns true when a dirty copy existed (the LLC then owns writing it
@@ -69,7 +86,12 @@ class CpuCore {
   /// returns immediately — no commits, no new misses, no stat bumps — while
   /// in-flight completions still land (they only mark outstanding_ entries
   /// done and fill caches). Freezing all injectors lets the engine drain.
-  void freeze() { frozen_ = true; }
+  /// A parked core settles and wakes first, so frozen cycles never count as
+  /// stalls.
+  void freeze() {
+    if (park_ != Park::None) unpark();
+    frozen_ = true;
+  }
   void unfreeze() { frozen_ = false; }
   [[nodiscard]] bool frozen() const { return frozen_; }
 
@@ -92,14 +114,24 @@ class CpuCore {
     std::uint64_t seq;   // committed-instruction count at issue
     bool done = false;
   };
+  /// Why a parked core is parked; names the stall counter its skipped ticks
+  /// owe.
+  enum class Park : std::uint8_t { None, Fixed, Dependent, Rob };
 
   /// Attempt to execute the pending memory op; false on a structural or
   /// dependency stall (commit cannot proceed this cycle).
   bool execute_mem_op(Cycle now);
-  void send_llc_read(Addr block, Cycle now, std::size_t miss_slot);
+  void send_llc_read(Addr block, Cycle now);
   void send_llc_write(Addr block, Cycle now);
   [[nodiscard]] bool rob_full() const;
   void l2_insert(Addr block, bool dirty, Cycle now);
+  /// After a stall-ending tick at `now`: skip the ticks the stall makes
+  /// no-ops (no-op without a ticker id).
+  void park(Park why, Cycle now);
+  /// Add the stalls of the ticks skipped so far to the parked counter.
+  void settle_stalls();
+  /// Settle, then resume ticking at the first slot not yet passed.
+  void unpark();
 
   Engine& engine_;
   CpuCoreConfig cfg_;  // ckpt:skip digest:skip: construction parameter
@@ -121,7 +153,7 @@ class CpuCore {
   std::uint64_t committed_ = 0;
   Cycle resume_at_ = 0;                  // short fixed-latency stalls
   std::vector<Miss> outstanding_;        // in-flight LLC reads
-  std::int64_t blocking_miss_ = -1;      // index into outstanding_, or -1
+  std::int64_t blocking_miss_ = -1;      // seq of the awaited miss, or -1
   // digest:skip: resolved-entry count awaiting compaction, derived from
   // outstanding_ (whose per-entry done flags are digested).
   unsigned done_misses_ = 0;  // digest:skip
@@ -142,6 +174,12 @@ class CpuCore {
   void maybe_prefetch(Addr miss_block, Cycle now);
 
   std::string stat_prefix_;  // ckpt:skip digest:skip: diagnostic label
+  // Parking is host-side scheduling: a parked core's architectural state is
+  // exactly that of one ticking through its stall, and freeze() unparks it
+  // before any barrier.
+  Engine::TickerId ticker_ = Engine::kNoTicker;  // ckpt:skip digest:skip: wiring
+  Park park_ = Park::None;      // ckpt:skip digest:skip: host-side schedule
+  Cycle settled_through_ = 0;   // ckpt:skip digest:skip: host-side schedule
   Profiler* prof_ = nullptr;
   // Host-side decimation counter for the sampled profiler scope; never
   // touches simulated state.

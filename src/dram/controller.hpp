@@ -26,7 +26,8 @@ class DramController {
       std::function<std::unique_ptr<IDramScheduler>(unsigned channel)>;
 
   /// Builds `cfg.channels` channels; each gets its own scheduler instance
-  /// from `factory` and a ticker at the DRAM command clock.
+  /// from `factory` and a ticker at the DRAM command clock, which it parks
+  /// while idle (dram/channel.hpp).
   DramController(Engine& engine, const DramConfig& cfg, StatRegistry& stats,
                  const SchedulerFactory& factory);
 

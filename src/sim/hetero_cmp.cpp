@@ -260,7 +260,8 @@ HeteroCmp::HeteroCmp(const SimConfig& cfg, Policy policy,
                                                std::move(stream), *stats_));
     wire_core(i);
     CpuCore* core = cores_.back().get();
-    engine_->add_ticker(1, 0, [core](Cycle now) { core->tick(now); });
+    core->set_ticker(
+        engine_->add_ticker(1, 0, [core](Cycle now) { core->tick(now); }));
   }
 
   wire_llc();

@@ -224,13 +224,17 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
 
   // --- Phase driver: run `pred` to completion under the phase cap,
   // drain-barriering (and snapshotting) every `ckpt_interval` cycles.
+  // `min_cycle` is the cycle threshold inside `pred`, if any: the engine
+  // skips idle gaps without evaluating the predicate, so the threshold must
+  // also be a run target to be observed on the cycle it is reached.
   // Returns false when the cap cut the phase short.
-  auto run_phase = [&](const std::function<bool()>& pred) {
+  auto run_phase = [&](const std::function<bool()>& pred, Cycle min_cycle) {
     for (;;) {
       if (pred()) return true;
       if (eng.now() >= phase_cap) return false;
       Cycle target = phase_cap;
       if (ckpt_interval > 0 && next_barrier < target) target = next_barrier;
+      if (eng.now() < min_cycle && min_cycle < target) target = min_cycle;
       if (target > eng.now()) {
         eng.run_until(
             [&] {
@@ -263,7 +267,7 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
       }
       return true;
     };
-    run_phase(warm_done);
+    run_phase(warm_done, scale.warm_min_cycles);
     stage = kStageWarmDone;
     // Warm-end snapshot: the warm-fork capture, or --ckpt-out without a
     // barrier interval.
@@ -285,9 +289,7 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
         telemetry->finalize(eng.now());
         telemetry->capture_stats(cmp.stats());
       }
-      if (check != nullptr) {
-        check->finalize(eng.now(), /*quiesced=*/eng.pending_events() == 0);
-      }
+      if (check != nullptr) check->finalize(eng.now(), cmp.quiesced());
       return r;
     }
   }
@@ -340,7 +342,7 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
     }
     return done;
   };
-  const bool completed = run_phase(all_done);
+  const bool completed = run_phase(all_done, /*min_cycle=*/0);
 
   HeteroResult r;
   r.mix_id = mix_id;
@@ -404,9 +406,11 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
   }
   if (check != nullptr) {
     // A run that stopped mid-flight is not quiesced, so the ledger only
-    // requires injected >= retired; a drained engine additionally requires
-    // every read to have completed exactly once.
-    check->finalize(eng.now(), /*quiesced=*/eng.pending_events() == 0);
+    // requires injected >= retired; a drained simulation additionally
+    // requires every read to have completed exactly once. An engine with no
+    // pending events is not enough: requests can still sit in the DRAM
+    // queues, the LLC MSHRs and the GMI queue.
+    check->finalize(eng.now(), cmp.quiesced());
   }
   return r;
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <tuple>
+#include <vector>
+
 #include "cpu/stream.hpp"
 #include "workloads/spec.hpp"
 
@@ -87,7 +91,8 @@ TEST(CpuStream, StoresAreNeverDependent) {
   }
 }
 
-/// Core with a perfect (always-hit after fill) memory behind it.
+/// Core with a perfect (always-hit after fill) memory behind it. With
+/// `parks`, the core gets its ticker id and parks through its stalls.
 struct CoreHarness {
   Engine engine;
   StatRegistry stats;
@@ -96,7 +101,8 @@ struct CoreHarness {
   std::vector<MemRequest> reqs;
   Cycle mem_latency = 50;
 
-  explicit CoreHarness(const SpecProfile& p, CpuCoreConfig c = CpuCoreConfig{})
+  explicit CoreHarness(const SpecProfile& p, CpuCoreConfig c = CpuCoreConfig{},
+                       bool parks = false)
       : cfg(c),
         core(engine, cfg, 0, std::make_unique<CpuStream>(p, 0x1000000, Rng(4)),
              stats) {
@@ -108,7 +114,9 @@ struct CoreHarness {
       reqs.push_back(MemRequest{r.addr, r.is_write, r.source, r.gclass,
                                 r.issued_at, r.miss_at, nullptr});
     });
-    engine.add_ticker(1, 0, [this](Cycle now) { core.tick(now); });
+    const Engine::TickerId id =
+        engine.add_ticker(1, 0, [this](Cycle now) { core.tick(now); });
+    if (parks) core.set_ticker(id);
   }
 };
 
@@ -189,6 +197,75 @@ TEST(CpuCore, MshrLimitBoundsOutstanding) {
   h.mem_latency = 5000;  // keep misses outstanding
   h.engine.run_for(20000);
   EXPECT_LE(h.core.outstanding_misses(), 5u);  // 4 live + compaction slack
+}
+
+// A parked core must be indistinguishable from one ticking through its
+// stalls: the same core and stats digests on every cycle, read after the
+// core's tick (a later ticker) and before it (a leading-phase event), across
+// dependent-miss, L2-hit, ROB-full and MSHR-full phases and a freeze.
+TEST(CpuCore, ParkedCoreMatchesTickingCoreEveryCycle) {
+  SpecProfile p = simple_profile();
+  p.dependent_fraction = 0.5;   // dependent-miss stalls and L2-hit penalties
+  p.llc_apki = 40.0;            // enough misses to fill the ROB and the MSHRs
+  p.llc_ws_bytes = 1 * MiB;     // misses the private caches
+  p.hot_bytes = 16 * KiB;       // misses the L1, hits the L2
+  CpuCoreConfig cfg;
+  // Small caches keep the per-cycle digests cheap.
+  cfg.l1d = CacheConfig{4 * KiB, 4, 64, 2, false};
+  cfg.l2 = CacheConfig{32 * KiB, 8, 64, 3, false};
+  cfg.l2_mshrs = 4;
+  cfg.rob_size = 64;
+
+  using Seen = std::tuple<Cycle, int, std::uint64_t, std::uint64_t>;
+  struct Rig {
+    CoreHarness h;
+    std::vector<Seen> seen;
+    std::function<void()> probe_event;
+    Rig(const SpecProfile& prof, const CpuCoreConfig& c, bool parks)
+        : h(prof, c, parks) {
+      h.engine.add_ticker(1, 0, [this](Cycle now) {
+        seen.emplace_back(now, 1, h.core.digest(), h.stats.digest());
+      });
+      probe_event = [this] {
+        seen.emplace_back(h.engine.now(), 0, h.core.digest(),
+                          h.stats.digest());
+        h.engine.schedule(1, probe_event);
+      };
+      h.engine.schedule(0, probe_event);
+    }
+    void run(Cycle latency, Cycle cycles) {
+      h.mem_latency = latency;
+      h.engine.run_for(cycles);
+    }
+  };
+  Rig ref(p, cfg, /*parks=*/false);
+  Rig parked(p, cfg, /*parks=*/true);
+  for (Rig* r : {&ref, &parked}) {
+    r->run(/*latency=*/400, 12000);  // long misses: ROB-full, MSHR-full
+    r->run(/*latency=*/30, 8000);    // short misses: dependent, L2 hits
+    for (int i = 0; i < 8; ++i) {
+      r->run(/*latency=*/300, 700);
+      r->h.core.freeze();  // a barrier drain, between cycles
+      r->run(/*latency=*/300, 150);
+      r->h.core.unfreeze();
+    }
+  }
+
+  ASSERT_EQ(ref.seen.size(), parked.seen.size());
+  for (std::size_t i = 0; i < ref.seen.size(); ++i) {
+    ASSERT_EQ(ref.seen[i], parked.seen[i])
+        << "first divergence at cycle " << std::get<0>(ref.seen[i])
+        << (std::get<1>(ref.seen[i]) == 0 ? " (event phase)" : " (ticker)");
+  }
+  EXPECT_EQ(ref.h.stats.counters(), parked.h.stats.counters());
+  for (const char* stall : {"cpu0.stall_fixed", "cpu0.stall_dependent",
+                            "cpu0.stall_rob", "cpu0.stall_structural"}) {
+    EXPECT_GT(ref.h.stats.counter(stall), 0u) << stall << " never happened";
+  }
+  // The parked core skipped most of its ticks (the probe ticker fires
+  // every cycle in both rigs).
+  EXPECT_LT(parked.h.engine.ticks_run(),
+            ref.h.engine.ticks_run() * 3 / 4);
 }
 
 TEST(SpecProfiles, AllMixIdsHaveProfiles) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -194,23 +195,91 @@ TEST(EngineWheel, DigestReflectsQueueState) {
 // Differential check: a seeded random workload must unfold identically on
 // the production engine and on the frozen pre-overhaul ReferenceEngine.
 
+struct WorkloadRun {
+  std::vector<std::pair<Cycle, int>> trace;
+  // Parking ticker: slots it skipped (Engine, derived from slot_horizon) and
+  // slots on which it fired without work to do (never, on Engine).
+  std::uint64_t skipped = 0;
+  std::uint64_t noop_fires = 0;
+};
+
 template <typename E>
-std::vector<std::pair<Cycle, int>> random_workload_trace() {
+WorkloadRun random_workload_trace() {
+  constexpr bool kParks = std::is_same_v<E, Engine>;
   E e;
   Rng rng(0xC0FFEE);
-  std::vector<std::pair<Cycle, int>> trace;
+  WorkloadRun run;
+  auto& trace = run.trace;
   int next_id = 0;
+
+  // The parking ticker P (period 2, registered between the other two) goes
+  // to sleep over random spans, or until woken. On Engine it parks; on the
+  // ReferenceEngine it keeps firing and does nothing while asleep — the
+  // never-parking behaviour parking must reproduce exactly.
+  constexpr Cycle kParkPeriod = 2;
+  std::size_t parker = 0;
+  bool asleep = false;
+  Cycle sleep_until = kNoCycle;
+  Cycle settled = 0;  // Engine: last slot counted in `skipped`
+  auto settle = [&](Cycle horizon) {
+    run.skipped += (horizon - settled) / kParkPeriod;
+    settled = horizon;
+  };
+  auto wake = [&](int tag) {
+    if (!asleep) return;
+    trace.emplace_back(e.now(), tag);
+    asleep = false;
+    if constexpr (kParks) {
+      settle(e.slot_horizon(parker));
+      e.wake(parker);
+    }
+  };
+
   // Period-1 ticker as in the real sims, registered first. On cycles where
   // the period-3 ticker also fires it schedules a zero-delay event, which
   // pins the ticker ordering contract: same-cycle tickers fire in
   // registration order, and zero-delay work from a ticker runs only after
-  // every ticker of that cycle.
+  // every ticker of that cycle. It wakes P from a ticker registered before
+  // P, and its zero-delay events wake P from the trailing event phase —
+  // also on cycles where no ticker after P fires.
   e.add_ticker(1, 0, [&](Cycle c) {
     trace.emplace_back(c, -2);
     if (c % 3 == 1) {
-      e.schedule(0, [&e, &trace] { trace.emplace_back(e.now(), -3); });
+      e.schedule(0, [&e, &trace, &wake] {
+        trace.emplace_back(e.now(), -3);
+        if (e.now() % 4 == 1) wake(-7);
+      });
+    } else if (c % 6 == 3) {
+      e.schedule(0, [&wake] { wake(-9); });
     }
+    if (c % 11 == 5) wake(-5);
   });
+  auto parker_tick = [&](Cycle c) {
+    if (asleep) {
+      if (sleep_until == kNoCycle || c < sleep_until) {
+        ++run.noop_fires;
+        return;
+      }
+      asleep = false;  // the span ran out; this slot is a real tick
+      if constexpr (kParks) settle(c - kParkPeriod);
+    }
+    trace.emplace_back(c, -4);
+    if (c < 3500 && rng.bernoulli(0.3)) {
+      asleep = true;
+      sleep_until = rng.bernoulli(0.5) ? kNoCycle : c + 1 + rng.next_below(60);
+      if constexpr (kParks) {
+        settled = c;
+        e.park(parker, sleep_until);
+      }
+    }
+  };
+  if constexpr (kParks) {
+    parker = e.add_ticker(kParkPeriod, 1, parker_tick);
+  } else {
+    e.add_ticker(kParkPeriod, 1, parker_tick);
+  }
+  // Registered after P: wakes it from a later ticker, and its events (delay
+  // 0 included) wake it from both event phases.
   e.add_ticker(3, 1, [&](Cycle c) {
     trace.emplace_back(c, -1);
     if (c < 3000 && rng.bernoulli(0.7)) {
@@ -218,23 +287,36 @@ std::vector<std::pair<Cycle, int>> random_workload_trace() {
       // Delays straddle the wheel horizon so near, boundary, and far paths
       // all see traffic.
       const Cycle d = rng.next_below(700);
-      e.schedule(d, [&e, &trace, id] { trace.emplace_back(e.now(), id); });
+      e.schedule(d, [&e, &trace, &wake, id] {
+        trace.emplace_back(e.now(), id);
+        if (id % 5 == 0) wake(-6);
+      });
     }
+    if (c % 7 == 3) wake(-8);
   });
   e.run_for(4000);
-  return trace;
+  if constexpr (kParks) {
+    if (asleep) settle(e.slot_horizon(parker));
+  }
+  return run;
 }
 
 TEST(EngineDifferential, RandomWorkloadMatchesReferenceEngine) {
-  const auto fast = random_workload_trace<Engine>();
-  const auto ref = random_workload_trace<ReferenceEngine>();
-  ASSERT_EQ(fast.size(), ref.size());
-  EXPECT_EQ(fast, ref);
-  // Cycle 1: period-1 ticker, period-3 ticker, then the zero-delay event.
+  const WorkloadRun fast = random_workload_trace<Engine>();
+  const WorkloadRun ref = random_workload_trace<ReferenceEngine>();
+  ASSERT_EQ(fast.trace.size(), ref.trace.size());
+  EXPECT_EQ(fast.trace, ref.trace);
+  // Cycle 1: period-1 ticker, parking ticker, period-3 ticker, then the
+  // zero-delay event.
   const std::vector<std::pair<Cycle, int>> head{
-      {0, -2}, {1, -2}, {1, -1}, {1, -3}};
-  ASSERT_GE(fast.size(), head.size());
-  EXPECT_TRUE(std::equal(head.begin(), head.end(), fast.begin()));
+      {0, -2}, {1, -2}, {1, -4}, {1, -1}, {1, -3}};
+  ASSERT_GE(fast.trace.size(), head.size());
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), fast.trace.begin()));
+  // Every slot the parked ticker skipped is one the reference fired for
+  // nothing, and the parked ticker itself never fired for nothing.
+  EXPECT_EQ(fast.noop_fires, 0u);
+  EXPECT_GT(ref.noop_fires, 100u);
+  EXPECT_EQ(fast.skipped, ref.noop_fires);
 }
 
 // ---------------------------------------------------------------------------

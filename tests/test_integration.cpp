@@ -3,6 +3,13 @@
 // paper-scale numbers (the bench/ harnesses do that).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "check/context.hpp"
+#include "common/jsonio.hpp"
+#include "common/units.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/hetero_cmp.hpp"
 #include "sim/metrics.hpp"
 #include "sim/runner.hpp"
@@ -144,6 +151,68 @@ TEST(Integration, TextureShareOfGpuLlcTrafficIsSubstantial) {
   ASSERT_GT(all, 0.0);
   EXPECT_GT(tex / all, 0.10);
   EXPECT_LT(tex / all, 0.90);
+}
+
+// The end-of-run ledger check may demand that every read has retired only
+// when nothing is in flight anywhere. An engine with no pending events is
+// not enough: requests can still wait in the DRAM queues, the LLC MSHRs and
+// the GMI queue, as they do at the end of these runs.
+TEST(Integration, LedgerFindsNoLeakWhileRequestsAreStillQueued) {
+  SimConfig cfg = Presets::scaled();
+  cfg.cpu_cores = 1;  // W-mixes: the one-core configuration
+  RunScale s;
+  s.warm_instrs = 20'000;
+  s.measure_instrs = 60'000;
+  s.warm_frames = 1;
+  s.measure_frames = 1;
+  s.warm_min_cycles = 300'000;
+  s.max_cycles = 60'000'000;
+  for (Policy p : {Policy::DynPrio, Policy::ForceBypass}) {
+    CheckOptions opts;
+    opts.abort_on_violation = false;
+    CheckContext check(opts);
+    RunHooks hooks;
+    hooks.check = &check;
+    (void)run_hetero(cfg, mix("W1"), p, s, hooks);
+    for (const CheckViolation& v : check.violations()) {
+      ADD_FAILURE() << to_string(p) << ": [" << v.auditor << "] @" << v.cycle
+                    << ": " << v.message;
+    }
+  }
+}
+
+// The engine skips idle gaps without evaluating run predicates, and parked
+// cores make such gaps common, so the warm-up's cycle threshold has to be a
+// run target: warm-up must end exactly at a warm_min_cycles that falls
+// between the GPU and DRAM ticker slots (every 4 cycles).
+TEST(Integration, WarmUpEndsExactlyAtAnOffSlotMinCycle) {
+  const SimConfig cfg = Presets::scaled();
+  RunScale s;
+  s.warm_instrs = 1'000;  // met long before the cycle threshold
+  s.warm_frames = 0;
+  s.measure_instrs = 10'000;
+  s.measure_frames = 1;
+  s.max_cycles = 60'000'000;
+  for (Cycle min_cycle : {Cycle{300'002}, Cycle{300'003}}) {
+    s.warm_min_cycles = min_cycle;
+    TelemetryOptions topts;
+    topts.capture_journal = false;
+    topts.capture_histograms = false;
+    Telemetry tel(topts);
+    RunHooks hooks;
+    hooks.telemetry = &tel;
+    (void)run_hetero(cfg, mix("M8"), Policy::ThrottleCpuPrio, s, hooks);
+    std::ostringstream trace;
+    tel.trace().write(trace);
+    const std::string mark =
+        "{\"name\":\"measure_start\",\"ph\":\"i\",\"ts\":";
+    const std::size_t at = trace.str().find(mark);
+    ASSERT_NE(at, std::string::npos);
+    const std::string want =
+        mark + json_double(cycles_to_seconds(min_cycle) * 1e6) + ",";
+    EXPECT_EQ(trace.str().substr(at, want.size()), want)
+        << "warm-up did not end at cycle " << min_cycle;
+  }
 }
 
 TEST(HeteroCmp, ConstructsAllPolicyWirings) {

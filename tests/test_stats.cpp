@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+
+#include "ckpt/state_io.hpp"
 
 namespace gpuqos {
 namespace {
@@ -50,6 +53,50 @@ TEST(StatRegistry, SinceSubtractsBaseline) {
   EXPECT_EQ(s.since("n", snap), 5u);
   EXPECT_EQ(s.since("m", snap), 2u);
   EXPECT_EQ(s.since("absent", snap), 0u);
+}
+
+// A lazily-counting component (a parked CPU core) owes counts until its
+// settle hook runs; every read, clear() and load() must run it first.
+TEST(StatRegistry, SettleHooksRunBeforeEveryReadClearAndLoad) {
+  StatRegistry s;
+  std::uint64_t* lazy = s.counter_ptr("lazy");
+  std::uint64_t owed = 0;
+  const int owner = 0;
+  s.add_settle_hook(&owner, [&] {
+    *lazy += owed;
+    owed = 0;
+  });
+  owed = 3;
+  EXPECT_EQ(s.counter("lazy"), 3u);
+  owed = 2;
+  EXPECT_EQ(s.counters().at("lazy"), 5u);
+  owed = 1;
+  EXPECT_NE(s.to_json().find("\"lazy\":6"), std::string::npos);
+  owed = 1;
+  EXPECT_NE(s.report().find("lazy 7"), std::string::npos);
+  StatRegistry settled;
+  settled.add("lazy", 8);
+  owed = 1;
+  EXPECT_EQ(s.digest(), settled.digest());
+
+  owed = 4;  // owed before clear(): belongs to the period being cleared
+  s.clear();
+  EXPECT_EQ(s.counter("lazy"), 0u);
+
+  owed = 5;
+  ckpt::StateWriter w;
+  w.begin_section("stats");
+  s.save(w);
+  w.end_section();
+  ckpt::StateReader r(w.finish());
+  ASSERT_TRUE(r.next_section());
+  owed = 9;  // owed before load(): must not land on the loaded value
+  s.load(r);
+  EXPECT_EQ(s.counter("lazy"), 5u);
+
+  s.remove_settle_hooks(&owner);
+  owed = 100;
+  EXPECT_EQ(s.counter("lazy"), 5u);
 }
 
 TEST(StatRegistry, ScalarsStored) {

@@ -193,7 +193,8 @@ LintResult run_lint_cached(const std::vector<FileInput>& files,
   unsigned nthreads = opts.threads != 0
                           ? opts.threads
                           : std::min(8u, std::thread::hardware_concurrency());
-  nthreads = std::max(1u, std::min<unsigned>(nthreads, files.size()));
+  nthreads = std::max(
+      1u, static_cast<unsigned>(std::min<std::size_t>(nthreads, files.size())));
   if (nthreads <= 1) {
     worker();
   } else {
