@@ -13,6 +13,7 @@ class FrFcfsScheduler : public IDramScheduler {
 
   [[nodiscard]] std::int64_t pick(const DramQueue& queue,
                                   const BankView& banks, Cycle now) override;
+  [[nodiscard]] bool pick_is_pure() const override { return true; }
 
  private:
   Cycle starvation_cap_;

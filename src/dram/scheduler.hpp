@@ -151,6 +151,13 @@ class IDramScheduler {
                                           const BankView& banks,
                                           Cycle now) = 0;
 
+  /// True when pick() has no side effects: it only reads the queue, the
+  /// banks and the QoS signals. A DRAM channel skips a pure policy's picks
+  /// while no queued request's bank is ready (dram/channel.hpp), so a policy
+  /// whose pick() changes any state, checkpointed or not (SMS closes stale
+  /// batches), must keep the default.
+  [[nodiscard]] virtual bool pick_is_pure() const { return false; }
+
   /// Called when the chosen entry leaves the queue.
   virtual void on_issue(const DramQueueEntry& entry) { (void)entry; }
 

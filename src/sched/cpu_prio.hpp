@@ -20,6 +20,7 @@ class CpuPriorityScheduler : public IDramScheduler {
 
   [[nodiscard]] std::int64_t pick(const DramQueue& queue,
                                   const BankView& banks, Cycle now) override;
+  [[nodiscard]] bool pick_is_pure() const override { return true; }
 
  private:
   const QosSignals* signals_;

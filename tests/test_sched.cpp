@@ -155,6 +155,9 @@ TEST(Sms, WaitsWhileBatchesForm) {
   q.push_back(e);
   // Batch still forming (not closed, no timeout): SMS delays service.
   EXPECT_EQ(sched.pick(q, banks, 10), -1);
+  // Each pick closes stale batches, so a DRAM channel must not skip SMS's
+  // idle picks.
+  EXPECT_FALSE(sched.pick_is_pure());
   // After the timeout the batch closes and is served.
   EXPECT_EQ(sched.pick(q, banks, 2000), 1);
 }
