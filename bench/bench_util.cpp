@@ -2,40 +2,34 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 #include "common/cli.hpp"
 #include "common/stats.hpp"
-#include "svc/client.hpp"
+#include "svc/exec.hpp"
 #include "svc/jobspec.hpp"
-#include "svc/options.hpp"
 
 namespace gpuqos::bench {
 namespace {
 
-svc::ClientFlags g_client_flags;
-svc::ExecFlags g_exec_flags;
-
 std::string default_store_dir() {
-  // GPUQOS_BENCH_CACHE is the documented override; GPUQOS_CACHE_DIR is the
-  // original spelling, kept so existing scripts don't silently re-simulate.
   const char* env = std::getenv("GPUQOS_BENCH_CACHE");
-  if (env == nullptr) env = std::getenv("GPUQOS_CACHE_DIR");
   return env != nullptr ? env : "gpuqos_bench_cache";
 }
 
-/// Process-wide service client. Built on first use from whatever
-/// init_harness parsed (or the defaults when a harness never called it);
-/// remote when --socket / GPUQOS_SERVE_SOCKET names a live daemon.
-svc::Client& client() {
+/// Executor settings; init_harness fills them from the command line.
+svc::ExecOptions g_exec_options;
+
+/// Process-wide executor. Built on first use from whatever init_harness
+/// parsed (or the defaults when a harness never called it).
+svc::Executor& executor() {
   // NOLINT-gpuqos(concurrency-discipline): C++11 magic-static init is
-  // thread-safe; Client::submit_batch runs batches one at a time per caller.
-  static std::unique_ptr<svc::Client> c = [] {
-    svc::ExecFlags exec = g_exec_flags;
-    if (exec.store_dir.empty()) exec.store_dir = default_store_dir();
-    return svc::make_client(g_client_flags, exec);
-  }();
-  return *c;
+  // thread-safe; harnesses submit batches one at a time.
+  static svc::Executor e([] {
+    svc::ExecOptions opts = g_exec_options;
+    if (opts.store_dir.empty()) opts.store_dir = default_store_dir();
+    return opts;
+  }());
+  return e;
 }
 
 svc::JobSpec job_base(const SimConfig& cfg) {
@@ -77,21 +71,29 @@ svc::JobSpec gpu_alone_spec(const SimConfig& cfg, const GpuAppDesc& app,
 }
 
 HeteroResult submit_one(const svc::JobSpec& spec) {
-  return client().submit_batch({spec}).front().result;
+  return executor().run_batch({spec}).front().result;
 }
 
 void submit_all(std::vector<svc::JobSpec> jobs) {
   if (jobs.empty()) return;
-  (void)client().submit_batch(jobs);
+  (void)executor().run_batch(jobs);
 }
 
 }  // namespace
 
 void init_harness(int argc, char** argv, const char* what) {
-  cli::OptionSet opts("[--socket PATH] [--store-dir DIR] [--flags...]", what);
-  g_exec_flags.store_dir = default_store_dir();
-  svc::register_client_flags(opts, g_client_flags);
-  svc::register_exec_flags(opts, g_exec_flags);
+  cli::OptionSet opts("[--store-dir DIR] [--flags...]", what);
+  g_exec_options.store_dir = default_store_dir();
+  opts.str("--store-dir", "DIR",
+           "persistent result store directory (default: $GPUQOS_BENCH_CACHE, "
+           "else ./gpuqos_bench_cache)",
+           &g_exec_options.store_dir);
+  opts.u64("--warm-cache-max", "BYTES",
+           "warm checkpoint cache bound in bytes (0 = unbounded)",
+           &g_exec_options.warm_cache_max);
+  opts.u32("--threads", "N",
+           "executor worker threads (0 = auto / GPUQOS_THREADS)",
+           &g_exec_options.threads);
 
   std::vector<const char*> positional;
   opts.parse(argc, argv, positional);
@@ -134,7 +136,7 @@ std::vector<double> cached_alone_ipcs(const SimConfig& cfg,
   std::vector<svc::JobSpec> jobs;
   jobs.reserve(mix.cpu_specs.size());
   for (int id : mix.cpu_specs) jobs.push_back(cpu_alone_spec(cfg, id, scale));
-  const std::vector<svc::JobResult> results = client().submit_batch(jobs);
+  const std::vector<svc::JobResult> results = executor().run_batch(jobs);
   std::vector<double> out;
   out.reserve(results.size());
   for (const svc::JobResult& r : results) {

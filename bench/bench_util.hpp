@@ -2,14 +2,14 @@
 //
 // Several figures are computed from the same simulations (e.g. Figures 9-11
 // all need the throttled runs of the six high-FPS mixes), so every cached_*
-// helper routes through the simulation service client (svc/client.hpp): jobs
-// are memoized in the service's content-addressed result store under
+// helper submits its jobs to one process-wide svc::Executor (svc/exec.hpp):
+// jobs are memoized in the content-addressed result store under
 // ./gpuqos_bench_cache (override with GPUQOS_BENCH_CACHE or --store-dir),
 // and hetero jobs that share a mix fork from one warm snapshot instead of
-// re-simulating the warm-up. Point any harness at a gpuqos_serve daemon with
-// --socket or GPUQOS_SERVE_SOCKET; without one the batch runs in-process on
-// the sweep pool — same results either way, byte-identical by digest.
-// Delete the cache directory after changing simulator code.
+// re-simulating the warm-up. A killed harness resumes from the store: jobs
+// that finished before the kill are read back, not re-simulated. Several
+// harnesses may share one store directory. Delete the cache directory after
+// changing simulator code.
 //
 // The prefetch_* helpers submit a whole batch of runs up front, so a harness
 // adds one call and its existing serial cached_* loops then hit the store.
@@ -23,8 +23,8 @@
 
 namespace gpuqos::bench {
 
-/// Parse the shared harness flags (--socket, --store-dir, --warm-cache-max,
-/// --threads, --help) and install them for the process-wide service client.
+/// Parse the shared harness flags (--store-dir, --warm-cache-max, --threads,
+/// --help) and install them for the process-wide executor.
 /// Call it first in main(); bad flags exit(2), --help exits(0). Harnesses
 /// take no positional arguments.
 void init_harness(int argc, char** argv, const char* what);
@@ -51,7 +51,7 @@ void init_harness(int argc, char** argv, const char* what);
                                                     const HeteroMix& mix,
                                                     const RunScale& scale);
 
-/// Run every (mix, policy) heterogeneous job as one service batch;
+/// Run every (mix, policy) heterogeneous job as one executor batch;
 /// duplicates dedupe in-batch, jobs sharing a mix share one warm snapshot,
 /// and jobs already in the store cost one file read.
 void prefetch_hetero(const SimConfig& cfg, const std::vector<HeteroMix>& mixes,

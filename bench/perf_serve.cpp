@@ -28,7 +28,6 @@
 #include "sim/runner.hpp"
 #include "svc/exec.hpp"
 #include "svc/jobspec.hpp"
-#include "svc/protocol.hpp"
 
 using namespace gpuqos;
 

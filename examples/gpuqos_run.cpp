@@ -3,17 +3,15 @@
 // system statistics). The --trace-out/--stats-json/--sample-interval family
 // of flags switches on the observability layer (docs/OBSERVABILITY.md); the
 // --ckpt-out/--resume/--ckpt-interval family drives the checkpoint/restore
-// subsystem (docs/CHECKPOINT.md); --serve-addr routes the run through a
-// gpuqos_serve daemon (docs/SERVICE.md), falling back to the same in-process
-// executor when none is reachable. Flags are declared in a cli::OptionSet,
-// so --help is generated from the same table that parses them.
+// subsystem (docs/CHECKPOINT.md). Flags are declared in a cli::OptionSet, so
+// --help is generated from the same table that parses them. Batch sweeps
+// with a result store go through svc::Executor instead (docs/SERVICE.md).
 //
 // Usage:
 //   gpuqos_run [mix] [policy] [target_fps] [--flags...]
 //   gpuqos_run M7 ThrotCPUprio 40
 //   gpuqos_run M8 ThrotCPUprio --ckpt-interval 2000000 --ckpt-out m8.snap
 //   gpuqos_run M8 ThrotCPUprio --resume m8.snap
-//   gpuqos_run M8 ThrotCPUprio --serve-addr gpuqos_serve.sock
 // Policies: Baseline Throttled ThrotCPUprio SMS-0.9 SMS-0 DynPrio HeLM
 //           ForceBypass
 #include <cstdio>
@@ -34,9 +32,6 @@
 #include "sim/metrics.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
-#include "svc/client.hpp"
-#include "svc/jobspec.hpp"
-#include "svc/protocol.hpp"
 
 using namespace gpuqos;
 
@@ -74,7 +69,6 @@ int main(int argc, char** argv) {
   std::uint64_t ckpt_interval = 0;
   bool want_check = false;
   unsigned pool_jobs = 1;
-  std::string serve_addr;
 
   cli::OptionSet opts(
       "[mix M1..M14|W1..W14] [policy] [target_fps] [--flags...]",
@@ -127,10 +121,6 @@ int main(int argc, char** argv) {
   opts.str("--resume", "PATH",
            "restore from a snapshot and continue the run it came from",
            &resume_path);
-  opts.str("--serve-addr", "PATH",
-           "submit the run to the gpuqos_serve daemon on this Unix socket "
-           "(in-process fallback when unreachable); alone IPCs use the "
-           "one-core standalone convention", &serve_addr);
 
   std::vector<const char*> positional;
   opts.parse(argc, argv, positional);
@@ -211,73 +201,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--pool cannot be combined with checkpoint flags\n");
     return 2;
   }
-  // The service executes jobs remotely (or through its in-process fallback),
-  // so nothing that attaches to the local CMP instance can ride along.
-  if (!serve_addr.empty() &&
-      (want_telemetry || with_check || pool_jobs > 1 || !ckpt_out.empty() ||
-       !resume_path.empty() || ckpt_interval > 0)) {
-    std::fprintf(stderr,
-                 "--serve-addr cannot be combined with telemetry, check, "
-                 "checkpoint, or pool flags\n");
-    return 2;
-  }
-
-  std::vector<double> alone;
-  HeteroResult r;
-  if (!serve_addr.empty()) {
-    // Service mode (docs/SERVICE.md): one batch carries the heterogeneous run
-    // plus the per-application standalone-IPC jobs. Identical resubmissions
-    // are store hits; hetero jobs sharing a mix fork from one warm snapshot.
-    std::vector<svc::JobSpec> jobs;
-    {
-      svc::JobSpec hj = svc::hetero_job(m->id, to_string(policy), scale);
-      hj.seed = cfg.seed;
-      hj.target_fps = cfg.qos.target_fps;
-      jobs.push_back(std::move(hj));
-    }
-    for (int id : m->cpu_specs) {
-      svc::JobSpec aj;
-      aj.kind = svc::JobKind::kCpuAlone;
-      aj.spec_id = id;
-      aj.seed = cfg.seed;
-      aj.target_fps = cfg.qos.target_fps;
-      aj.scale = scale;
-      jobs.push_back(std::move(aj));
-    }
-    try {
-      std::unique_ptr<svc::Client> client = svc::Client::create(serve_addr, {});
-      svc::BatchStats stats;
-      const std::vector<svc::JobResult> results =
-          client->submit_batch(jobs, nullptr, &stats);
-      r = results[0].result;
-      for (std::size_t i = 1; i < results.size(); ++i) {
-        alone.push_back(results[i].result.cpu_ipc.empty()
-                            ? 0.0
-                            : results[i].result.cpu_ipc[0]);
-      }
-      std::printf(
-          "service: %s, hetero digest %s (%s), %llu store hits / %llu warm "
-          "forks / %llu cold\n\n",
-          client->remote() ? serve_addr.c_str() : "in-process fallback",
-          svc::u64_hex(results[0].digest).c_str(),
-          svc::to_string(results[0].source),
-          static_cast<unsigned long long>(stats.store_hits),
-          static_cast<unsigned long long>(stats.warm_forks),
-          static_cast<unsigned long long>(stats.cold_runs));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "service error: %s\n", e.what());
-      return 1;
-    }
-  } else {
-    alone = standalone_ipcs(cfg, *m, scale);
-  }
+  const std::vector<double> alone = standalone_ipcs(cfg, *m, scale);
 
   std::unique_ptr<CheckContext> check;
   if (with_check && pool_jobs == 1) check = std::make_unique<CheckContext>(copts);
 
-  if (!serve_addr.empty()) {
-    // Result already delivered by the service above.
-  } else if (pool_jobs == 1) {
+  HeteroResult r;
+  if (pool_jobs == 1) {
     RunHooks hooks;
     hooks.telemetry = telemetry.get();
     hooks.check = check.get();

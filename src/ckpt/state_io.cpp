@@ -254,44 +254,6 @@ void StateReader::fail(const std::string& message) const {
   throw CkptError("section '" + tag_ + "': " + message);
 }
 
-std::vector<std::uint8_t> container_header() {
-  // Exact-size construction + memcpy (not append/insert): GCC 12's
-  // stringop-overflow analysis misfires on inlined vector::insert growth
-  // under -Werror, and the size is statically known anyway.
-  std::vector<std::uint8_t> out(sizeof(kSnapshotMagic) +
-                                sizeof(kSnapshotVersion));
-  std::memcpy(out.data(), &kSnapshotMagic, sizeof(kSnapshotMagic));
-  std::memcpy(out.data() + sizeof(kSnapshotMagic), &kSnapshotVersion,
-              sizeof(kSnapshotVersion));
-  return out;
-}
-
-std::vector<std::uint8_t> encode_section(
-    std::string_view tag, const std::vector<std::uint8_t>& payload) {
-  if (tag.empty() || tag.size() > 0xFFFF) {
-    throw CkptError("section tag must be 1..65535 bytes");
-  }
-  // Exact-size construction + memcpy for the same GCC 12 reason as
-  // container_header() above.
-  const auto tag_len = static_cast<std::uint16_t>(tag.size());
-  const auto payload_len = static_cast<std::uint64_t>(payload.size());
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
-  std::vector<std::uint8_t> out(sizeof(tag_len) + tag.size() +
-                                sizeof(payload_len) + sizeof(crc) +
-                                payload.size());
-  std::size_t off = 0;
-  auto put = [&out, &off](const void* p, std::size_t n) {
-    std::memcpy(out.data() + off, p, n);
-    off += n;
-  };
-  put(&tag_len, sizeof(tag_len));
-  put(tag.data(), tag.size());
-  put(&payload_len, sizeof(payload_len));
-  put(&crc, sizeof(crc));
-  put(payload.data(), payload.size());
-  return out;
-}
-
 void write_snapshot_file(const std::string& path,
                          const std::vector<std::uint8_t>& data) {
   // Atomic-ish: write to a sibling temp file and rename over the target so a

@@ -109,17 +109,6 @@ class StateReader {
   std::string tag_;
 };
 
-/// The bare container header (magic + version) — for append-only writers
-/// that grow a container one section at a time (sim::SweepManifest) instead
-/// of sealing a whole buffer through StateWriter.
-[[nodiscard]] std::vector<std::uint8_t> container_header();
-
-/// One sealed section frame ([u16 tag_len][tag][u64 len][u32 crc][payload])
-/// as standalone bytes, appendable after container_header() or any sealed
-/// section. Same framing StateWriter emits, so StateReader reads the result.
-[[nodiscard]] std::vector<std::uint8_t> encode_section(
-    std::string_view tag, const std::vector<std::uint8_t>& payload);
-
 /// Whole-snapshot file helpers. Throw CkptError on any I/O failure.
 void write_snapshot_file(const std::string& path,
                          const std::vector<std::uint8_t>& data);

@@ -1,29 +1,8 @@
 #include "sim/sweep.hpp"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <utility>
-
-#include "check/check.hpp"
-#include "ckpt/state_io.hpp"
 
 namespace gpuqos {
-namespace {
-
-/// Manifest section payload: the same u32-length-prefixed string framing
-/// StateWriter::str() emits, kept so pre-append-era manifests load unchanged.
-std::vector<std::uint8_t> str_payload(const std::string& s) {
-  std::vector<std::uint8_t> payload;
-  const auto len = checked_narrow<std::uint32_t>(s.size());
-  payload.resize(sizeof(len) + s.size());
-  std::memcpy(payload.data(), &len, sizeof(len));
-  std::memcpy(payload.data() + sizeof(len), s.data(), s.size());
-  return payload;
-}
-
-}  // namespace
 
 unsigned sweep_thread_count(std::size_t jobs) {
   unsigned threads = 0;
@@ -34,130 +13,6 @@ unsigned sweep_thread_count(std::size_t jobs) {
   if (threads > jobs) threads = static_cast<unsigned>(jobs);
   if (threads == 0) threads = 1;
   return threads;
-}
-
-std::mutex& sweep_io_mutex() {
-  // NOLINT-gpuqos(thread-purity): audited — serializes manifest/stdout IO
-  // only; it never orders simulation work, so results stay deterministic.
-  static std::mutex m;
-  return m;
-}
-
-SweepManifest::SweepManifest(std::string path) : path_(std::move(path)) {
-  if (!std::filesystem::exists(path_)) return;
-  const std::vector<std::uint8_t> data = ckpt::read_snapshot_file(path_);
-
-  // Header check via StateReader (throws on bad magic/version — a file that
-  // was never a manifest). Section iteration is manual and lenient: a torn
-  // append at the tail truncates mid-frame, and StateReader would reject the
-  // whole file where we want "everything before the tear".
-  { ckpt::StateReader header_check{data}; }
-
-  std::size_t pos = sizeof(ckpt::kSnapshotMagic) + sizeof(ckpt::kSnapshotVersion);
-  bool torn = false;
-  while (pos < data.size() && !torn) {
-    auto take = [&](void* out, std::size_t n) {
-      if (pos + n > data.size()) return false;
-      std::memcpy(out, data.data() + pos, n);
-      pos += n;
-      return true;
-    };
-    std::uint16_t tag_len = 0;
-    std::uint64_t payload_len = 0;
-    std::uint32_t crc = 0;
-    std::string key;
-    if (!take(&tag_len, sizeof(tag_len)) || tag_len == 0 ||
-        pos + tag_len > data.size()) {
-      torn = true;
-      break;
-    }
-    key.assign(reinterpret_cast<const char*>(data.data() + pos), tag_len);
-    pos += tag_len;
-    if (!take(&payload_len, sizeof(payload_len)) ||
-        !take(&crc, sizeof(crc)) || payload_len > data.size() - pos ||
-        ckpt::crc32(data.data() + pos, payload_len) != crc) {
-      torn = true;
-      break;
-    }
-    // Payload = u32 length + string bytes (StateWriter::str framing).
-    std::uint32_t str_len = 0;
-    if (payload_len < sizeof(str_len)) {
-      torn = true;
-      break;
-    }
-    std::memcpy(&str_len, data.data() + pos, sizeof(str_len));
-    if (str_len != payload_len - sizeof(str_len)) {
-      torn = true;
-      break;
-    }
-    if (entries_.count(key) != 0) ++recovered_;  // duplicate: latest wins
-    entries_[key].assign(
-        reinterpret_cast<const char*>(data.data() + pos + sizeof(str_len)),
-        str_len);
-    pos += payload_len;
-  }
-  if (torn) ++recovered_;  // the dropped tail section
-
-  if (recovered_ > 0) {
-    std::fprintf(stderr,
-                 "[sweep] manifest '%s': recovered %zu entries, dropped/"
-                 "deduped %zu; compacting\n",
-                 path_.c_str(), entries_.size(), recovered_);
-    std::lock_guard<std::mutex> io(sweep_io_mutex());
-    std::lock_guard<std::mutex> lock(mutex_);
-    compact_locked();
-  }
-}
-
-bool SweepManifest::has(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.count(key) != 0;
-}
-
-const std::string* SweepManifest::result(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
-void SweepManifest::record(const std::string& key,
-                           const std::string& serialized) {
-  // Workers record concurrently: mutex_ guards entries_, sweep_io_mutex
-  // serializes the file append against other sweep-side writers.
-  std::lock_guard<std::mutex> io(sweep_io_mutex());
-  std::lock_guard<std::mutex> lock(mutex_);
-  entries_[key] = serialized;
-  append_locked(key, serialized);
-}
-
-void SweepManifest::append_locked(const std::string& key,
-                                  const std::string& serialized) {
-  std::FILE* f = std::fopen(path_.c_str(), "ab");
-  if (f == nullptr) {
-    throw ckpt::CkptError("cannot open manifest '" + path_ + "' for append");
-  }
-  // One buffered frame (header first on a fresh file) so the common torn
-  // state is "last section missing", which the loader recovers from.
-  std::vector<std::uint8_t> frame;
-  if (std::ftell(f) == 0) frame = ckpt::container_header();
-  const std::vector<std::uint8_t> section =
-      ckpt::encode_section(key, str_payload(serialized));
-  frame.insert(frame.end(), section.begin(), section.end());
-  const std::size_t written = std::fwrite(frame.data(), 1, frame.size(), f);
-  const bool flushed = std::fclose(f) == 0;
-  if (written != frame.size() || !flushed) {
-    throw ckpt::CkptError("short append to manifest '" + path_ + "'");
-  }
-}
-
-void SweepManifest::compact_locked() const {
-  ckpt::StateWriter w;
-  for (const auto& [key, value] : entries_) {
-    w.begin_section(key);
-    w.str(value);
-    w.end_section();
-  }
-  ckpt::write_snapshot_file(path_, w.finish());  // atomic tmp + rename
 }
 
 }  // namespace gpuqos

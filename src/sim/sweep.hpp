@@ -24,11 +24,8 @@
 #include <atomic>
 #include <exception>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -39,53 +36,6 @@ namespace gpuqos {
 /// "hardware concurrency"), else hardware concurrency; never more than the
 /// job count, never less than 1.
 [[nodiscard]] unsigned sweep_thread_count(std::size_t jobs);
-
-/// Serializes writes that leave a sweep job (bench result-cache files,
-/// progress prints). Process-wide on purpose: the bench cache is shared
-/// between harness binaries that may one day run concurrently.
-[[nodiscard]] std::mutex& sweep_io_mutex();
-
-/// Completed-job manifest for resumable sweeps (docs/CHECKPOINT.md §sweeps).
-/// A long sweep records every finished job — a caller-chosen key plus the
-/// serialized result — into a manifest file; a rerun loads the manifest and
-/// skips the jobs it already holds. The file reuses the snapshot container
-/// framing (header, one CRC-guarded section per job keyed by its tag).
-///
-/// record() APPENDS one sealed section (O(1) per job; the old
-/// rewrite-the-whole-file scheme made an n-job sweep pay O(n^2) manifest
-/// bytes). Appending means a crash can leave a torn section at the tail and a
-/// re-recorded key appears twice; the loader is therefore lenient — it keeps
-/// every section up to the first malformed one (latest duplicate wins) and
-/// then compacts the file atomically (tmp + rename), so a resumed sweep loses
-/// at most the one job that was mid-append when the process died. A file that
-/// is not a gpuqos container at all (bad magic/version) still throws
-/// ckpt::CkptError: that is a wrong path, not a torn tail.
-class SweepManifest {
- public:
-  /// Loads `path` when it exists; a missing file starts an empty manifest.
-  explicit SweepManifest(std::string path);
-
-  [[nodiscard]] bool has(const std::string& key) const;
-  /// Serialized result for `key`, or nullptr when absent.
-  [[nodiscard]] const std::string* result(const std::string& key) const;
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-  /// Record a finished job: append one CRC-guarded section to the manifest
-  /// file (under sweep_io_mutex — safe to call from pool workers).
-  void record(const std::string& key, const std::string& serialized);
-
-  /// Sections dropped or deduplicated by the last load (0 = file was clean).
-  [[nodiscard]] std::size_t recovered() const { return recovered_; }
-
- private:
-  void append_locked(const std::string& key, const std::string& serialized);
-  void compact_locked() const;
-
-  std::string path_;
-  std::map<std::string, std::string> entries_;
-  std::size_t recovered_ = 0;
-  mutable std::mutex mutex_;
-};
 
 /// Run independent jobs, at most `threads` at a time (0 = auto via
 /// sweep_thread_count). results[i] always holds jobs[i]'s value. With one
@@ -148,53 +98,6 @@ template <typename R>
   std::vector<R> out;
   out.reserve(n);
   for (auto& slot : slots) out.push_back(std::move(*slot.value));
-  return out;
-}
-
-/// run_many with mid-sweep checkpoint/resume: `keys[i]` names jobs[i] in the
-/// manifest. Jobs already recorded are decoded from the manifest instead of
-/// re-run; every job that does run is recorded the moment it finishes, so a
-/// killed sweep resumes from the last completed job. Results keep job order,
-/// and a resumed sweep returns exactly what the uninterrupted one would
-/// (decode(encode(r)) must round-trip).
-template <typename R>
-[[nodiscard]] std::vector<R> run_many_resumable(
-    std::vector<std::function<R()>> jobs, const std::vector<std::string>& keys,
-    SweepManifest& manifest, std::function<std::string(const R&)> encode,
-    std::function<R(const std::string&)> decode, unsigned threads = 0) {
-  const std::size_t n = jobs.size();
-  if (keys.size() != n) {
-    throw std::invalid_argument("run_many_resumable: keys/jobs size mismatch");
-  }
-
-  // Pending jobs wrap the original thunk with a manifest record; completed
-  // ones are filled from the manifest after the pool drains.
-  std::vector<std::function<R()>> pending;
-  std::vector<std::size_t> pending_index;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (manifest.has(keys[i])) continue;
-    pending_index.push_back(i);
-    pending.push_back([&jobs, &keys, &manifest, &encode, i] {
-      R r = jobs[i]();
-      manifest.record(keys[i], encode(r));
-      return r;
-    });
-  }
-
-  std::vector<R> fresh = run_many(std::move(pending), threads);
-
-  std::vector<std::optional<R>> slots(n);
-  for (std::size_t j = 0; j < pending_index.size(); ++j) {
-    slots[pending_index[j]].emplace(std::move(fresh[j]));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (slots[i].has_value()) continue;
-    slots[i].emplace(decode(*manifest.result(keys[i])));
-  }
-
-  std::vector<R> out;
-  out.reserve(n);
-  for (auto& slot : slots) out.push_back(std::move(*slot));
   return out;
 }
 

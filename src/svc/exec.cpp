@@ -25,8 +25,6 @@ Executor::Executor(const ExecOptions& opts)
     : opts_(opts), store_(opts.store_dir), warm_cache_(opts.warm_cache_max) {}
 
 JobResult Executor::run_one(const JobSpec& spec) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-
   JobResult out;
   out.spec = spec;
   if (auto cached = store_.get(spec)) {
@@ -41,9 +39,7 @@ JobResult Executor::run_one(const JobSpec& spec) {
   switch (spec.kind) {
     case JobKind::kHetero: {
       Policy policy = Policy::Baseline;
-      if (!policy_from_string(spec.policy, policy)) {
-        throw SpecError("job: unknown policy '" + spec.policy + "'");
-      }
+      (void)policy_from_string(spec.policy, policy);  // run_batch validated it
       const HeteroMix& m = mix(spec.mix_id);
       // Warm once under Baseline (policy-independent by kFork's contract),
       // fork the measured phase under the requested policy. `built` tells us
@@ -58,12 +54,7 @@ JobResult Executor::run_one(const JobSpec& spec) {
       hooks.resume_mode = ckpt::RestoreMode::kFork;
       out.result = run_hetero(cfg, m, policy, spec.scale, hooks);
       sim_runs_.fetch_add(1, std::memory_order_relaxed);
-      if (built) {
-        out.source = JobSource::kCold;
-      } else {
-        out.source = JobSource::kWarmFork;
-        warm_forks_.fetch_add(1, std::memory_order_relaxed);
-      }
+      out.source = built ? JobSource::kCold : JobSource::kWarmFork;
       break;
     }
     case JobKind::kCpuAlone: {
@@ -91,6 +82,7 @@ JobResult Executor::run_one(const JobSpec& spec) {
 std::vector<JobResult> Executor::run_batch(const std::vector<JobSpec>& jobs,
                                            const Progress& progress,
                                            BatchStats* stats) {
+  for (const JobSpec& spec : jobs) validate(spec);
   const std::size_t n = jobs.size();
 
   // In-batch dedup: exact duplicate specs (same canonical line) simulate

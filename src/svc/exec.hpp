@@ -1,14 +1,15 @@
-// Batch executor: the one engine behind both the daemon (server.hpp) and the
-// in-process fallback (client.hpp), so "daemon reachable" vs "run locally" is
-// a transport decision, not a results decision (docs/SERVICE.md §executor).
+// Batch executor: the one way to run, dedup and resume a sweep
+// (docs/SERVICE.md). The figure harnesses and the benchmarks submit their
+// JobSpecs here.
 //
 // Per job: consult the persistent ResultStore (content address = job_key);
 // on a miss, simulate and store. Hetero jobs always execute warm-then-fork —
 // warm up under Policy::Baseline, drain, snapshot (shared via WarmCache
 // across every policy of the same mix/scale/seed), then fork the measured
 // phase under the requested policy. Always forking, even on a cold warm
-// cache, keeps results canonical: a cold run, a warm-cache hit, a store hit,
-// and a daemon-restart replay all produce byte-identical result containers.
+// cache, keeps results canonical: a cold run, a warm-cache hit, and a store
+// hit (including a resubmission after the process was killed) all produce
+// byte-identical result containers.
 // Standalone jobs (kCpuAlone/kGpuAlone) have no warm phase to share and run
 // whole.
 //
@@ -19,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,7 +56,7 @@ struct JobResult {
   JobSource source = JobSource::kCold;
 };
 
-/// Per-batch execution summary (the `done` frame payload).
+/// Per-batch execution summary.
 struct BatchStats {
   std::uint64_t jobs = 0;
   std::uint64_t store_hits = 0;
@@ -70,24 +70,20 @@ class Executor {
   explicit Executor(const ExecOptions& opts);
 
   /// Called as each job finishes, in completion order, serialized by an
-  /// internal mutex (safe to write sockets or stdout from it).
+  /// internal mutex (safe to write stdout from it).
   using Progress =
       std::function<void(std::size_t done, std::size_t total, const JobResult&)>;
 
-  /// Execute a batch; results[i] corresponds to jobs[i]. Specs must already
-  /// be validated (validate(spec)); execution errors propagate as the first
-  /// job's exception after the pool drains (run_many semantics).
+  /// Execute a batch; results[i] corresponds to jobs[i]. Every spec is
+  /// validated before any job starts (an invalid one throws SpecError and
+  /// nothing runs); execution errors propagate as the first job's exception
+  /// after the pool drains (run_many semantics).
   [[nodiscard]] std::vector<JobResult> run_batch(
       const std::vector<JobSpec>& jobs, const Progress& progress = {},
       BatchStats* stats = nullptr);
 
-  [[nodiscard]] ResultStore& store() { return store_; }
-  [[nodiscard]] WarmCache& warm_cache() { return warm_cache_; }
-
-  // Lifetime counters across batches (served by the daemon's obs surface).
-  [[nodiscard]] std::uint64_t requests() const { return requests_.load(); }
+  /// Simulations run across every batch (store hits and duplicates excluded).
   [[nodiscard]] std::uint64_t sim_runs() const { return sim_runs_.load(); }
-  [[nodiscard]] std::uint64_t warm_forks() const { return warm_forks_.load(); }
 
  private:
   [[nodiscard]] JobResult run_one(const JobSpec& spec);
@@ -95,9 +91,7 @@ class Executor {
   ExecOptions opts_;
   ResultStore store_;
   WarmCache warm_cache_;
-  std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> sim_runs_{0};
-  std::atomic<std::uint64_t> warm_forks_{0};
 };
 
 }  // namespace gpuqos::svc

@@ -51,28 +51,6 @@ std::string canonical_impl(const JobSpec& spec, bool with_policy) {
   return out;
 }
 
-JsonValue scale_json(const RunScale& s) {
-  JsonValue v = JsonValue::object();
-  v.add("warm_instrs", JsonValue::num_u64(s.warm_instrs));
-  v.add("measure_instrs", JsonValue::num_u64(s.measure_instrs));
-  v.add("warm_frames", JsonValue::num_u64(s.warm_frames));
-  v.add("measure_frames", JsonValue::num_u64(s.measure_frames));
-  v.add("warm_min_cycles", JsonValue::num_u64(s.warm_min_cycles));
-  v.add("max_cycles", JsonValue::num_u64(s.max_cycles));
-  return v;
-}
-
-RunScale scale_from_json(const JsonValue& v) {
-  RunScale s;
-  s.warm_instrs = v.req_u64("warm_instrs");
-  s.measure_instrs = v.req_u64("measure_instrs");
-  s.warm_frames = static_cast<unsigned>(v.req_u64("warm_frames"));
-  s.measure_frames = static_cast<unsigned>(v.req_u64("measure_frames"));
-  s.warm_min_cycles = v.req_u64("warm_min_cycles");
-  s.max_cycles = v.req_u64("max_cycles");
-  return s;
-}
-
 }  // namespace
 
 const char* to_string(JobKind k) {
@@ -98,61 +76,13 @@ std::uint64_t job_key(const JobSpec& spec) {
   return h.value();
 }
 
-std::string job_key_hex(const JobSpec& spec) {
+std::string u64_hex(std::uint64_t v) {
   char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(job_key(spec)));
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return buf;
 }
 
-JsonValue to_json(const JobSpec& spec) {
-  JsonValue v = JsonValue::object();
-  v.add("kind", JsonValue::str(to_string(spec.kind)));
-  v.add("preset", JsonValue::str(spec.preset));
-  switch (spec.kind) {
-    case JobKind::kHetero:
-      v.add("mix", JsonValue::str(spec.mix_id));
-      v.add("policy", JsonValue::str(spec.policy));
-      break;
-    case JobKind::kCpuAlone:
-      v.add("spec", JsonValue::num_u64(static_cast<std::uint64_t>(spec.spec_id)));
-      break;
-    case JobKind::kGpuAlone:
-      v.add("app", JsonValue::str(spec.gpu_app));
-      break;
-  }
-  v.add("seed", JsonValue::num_u64(spec.seed));
-  v.add("target_fps", JsonValue::num_f64(spec.target_fps));
-  v.add("scale", scale_json(spec.scale));
-  return v;
-}
-
-JobSpec job_from_json(const JsonValue& v) {
-  try {
-    JobSpec spec;
-    const std::string& kind = v.req_string("kind");
-    if (kind == "hetero") {
-      spec.kind = JobKind::kHetero;
-      spec.mix_id = v.req_string("mix");
-      spec.policy = v.req_string("policy");
-    } else if (kind == "cpu_alone") {
-      spec.kind = JobKind::kCpuAlone;
-      spec.spec_id = static_cast<int>(v.req_u64("spec"));
-    } else if (kind == "gpu_alone") {
-      spec.kind = JobKind::kGpuAlone;
-      spec.gpu_app = v.req_string("app");
-    } else {
-      throw SpecError("job: unknown kind '" + kind + "'");
-    }
-    spec.preset = v.req_string("preset");
-    spec.seed = v.req_u64("seed");
-    spec.target_fps = v.req_f64("target_fps");
-    spec.scale = scale_from_json(v.req("scale"));
-    return spec;
-  } catch (const JsonError& e) {
-    throw SpecError(std::string("job: ") + e.what());
-  }
-}
+std::string job_key_hex(const JobSpec& spec) { return u64_hex(job_key(spec)); }
 
 void validate(const JobSpec& spec) {
   if (spec.preset != "scaled" && spec.preset != "paper") {

@@ -1,7 +1,7 @@
 // Canonical sweep-job description for the simulation service
 // (docs/SERVICE.md). A JobSpec names one simulation — the same vocabulary the
 // figure harnesses use (preset, mix, policy, RunScale budgets, seed, FPS
-// target) — in a form that can cross the wire and act as a content address:
+// target) — in a form that can act as a content address:
 //
 //  * canonical(spec)       — one-line key=value rendering with a fixed field
 //    order; two specs describing the same simulation always canonicalize to
@@ -13,16 +13,14 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "sim/runner.hpp"
-#include "svc/json.hpp"
 
 namespace gpuqos::svc {
 
-/// Malformed job/frame content (unknown mix, bad policy, missing field).
-/// Distinct from JsonError so the server can reply with the right typed
-/// error code ("bad-job" vs "bad-frame").
+/// Malformed job content (unknown mix, bad policy, bad preset, zero cycle cap).
 class SpecError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -49,7 +47,7 @@ struct JobSpec {
 };
 
 /// Canonical one-line rendering (the dedup identity). Stable across
-/// processes and protocol versions; extend only by appending fields.
+/// processes and versions; extend only by appending fields.
 [[nodiscard]] std::string canonical(const JobSpec& spec);
 
 /// canonical() minus the policy field: the warm-checkpoint cache key.
@@ -57,14 +55,10 @@ struct JobSpec {
 
 /// FNV-1a64 of canonical(spec) — the content address in the result store.
 [[nodiscard]] std::uint64_t job_key(const JobSpec& spec);
+/// `v` as 16 lowercase hex digits (job keys, result digests).
+[[nodiscard]] std::string u64_hex(std::uint64_t v);
 /// job_key as 16 hex digits (store file names, log lines).
 [[nodiscard]] std::string job_key_hex(const JobSpec& spec);
-
-/// JSON wire form (`submit` frames). from_json throws SpecError on missing
-/// or malformed fields; semantic validation (mix exists, policy parses)
-/// happens in validate().
-[[nodiscard]] JsonValue to_json(const JobSpec& spec);
-[[nodiscard]] JobSpec job_from_json(const JsonValue& v);
 
 /// Throws SpecError when the spec names an unknown mix/app/policy/preset or
 /// carries empty budgets that would hang the simulator.

@@ -1,5 +1,9 @@
 #include "svc/store.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 
@@ -7,6 +11,15 @@
 #include "svc/result_io.hpp"
 
 namespace gpuqos::svc {
+namespace {
+
+/// Process-wide, so two stores on one directory never pick the same name.
+std::uint64_t next_tmp_seq() {
+  static std::atomic<std::uint64_t> seq{0};
+  return seq++;
+}
+
+}  // namespace
 
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   if (!dir_.empty()) {
@@ -51,14 +64,17 @@ std::optional<std::vector<std::uint8_t>> ResultStore::get(const JobSpec& spec) {
 
 void ResultStore::put(const JobSpec& spec, const std::vector<std::uint8_t>& bytes) {
   if (!enabled()) return;
+  // The pid separates processes sharing the directory; "x" (exclusive
+  // create) skips a name left behind by a killed process with the same pid.
   std::string tmp;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tmp = dir_ + "/.put." + std::to_string(tmp_seq_++) + ".tmp";
-  }
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw ckpt::CkptError("result store: cannot open '" + tmp + "'");
+  std::FILE* f = nullptr;
+  while (f == nullptr) {
+    tmp = dir_ + "/.put." + std::to_string(::getpid()) + "." +
+          std::to_string(next_tmp_seq()) + ".tmp";
+    f = std::fopen(tmp.c_str(), "wbx");
+    if (f == nullptr && errno != EEXIST) {
+      throw ckpt::CkptError("result store: cannot open '" + tmp + "'");
+    }
   }
   const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
   const bool flushed = std::fclose(f) == 0;

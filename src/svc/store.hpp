@@ -3,10 +3,12 @@
 // Layout: one file per job, `<dir>/<16-hex job_key>.gqr`, holding the
 // CRC-guarded container from result_io. Lookups decode + validate, so a
 // corrupt or mismatched file behaves as a miss (and is logged), never as a
-// silently-served wrong result. Writes go through tmp + rename, so a daemon
+// silently-served wrong result. Writes go through tmp + rename, so a process
 // killed mid-write leaves either the old file or none — which is what makes
 // crash-resume work: after a restart, every job that finished before the kill
-// is served from here without re-simulation.
+// is served from here without re-simulation. Temp names are unique per
+// process and per write, so any number of processes (or stores in one
+// process) may share a directory.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +47,10 @@ class ResultStore {
   [[nodiscard]] std::string path_for(const JobSpec& spec) const;
 
   std::string dir_;
-  mutable std::mutex mu_;  // guards counters and tmp-file naming
+  mutable std::mutex mu_;  // guards the counters
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t rejects_ = 0;
-  std::uint64_t tmp_seq_ = 0;
 };
 
 }  // namespace gpuqos::svc

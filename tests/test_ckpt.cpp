@@ -1,14 +1,9 @@
 // Checkpoint/restore subsystem tests (docs/CHECKPOINT.md): the byte format
 // (round-trip, forward-compatible skip, corruption rejection), the meta
 // compatibility check, whole-CMP save -> load -> digest equality, warm-state
-// forking, the resumable sweep manifest, and the deprecated runner overloads.
-#include <unistd.h>
-
-#include <atomic>
+// forking, and the deprecated runner overloads.
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,7 +14,6 @@
 #include "ckpt/snapshot.hpp"
 #include "ckpt/state_io.hpp"
 #include "sim/runner.hpp"
-#include "sim/sweep.hpp"
 #include "workloads/gpu_apps.hpp"
 #include "workloads/spec.hpp"
 
@@ -426,145 +420,6 @@ TEST(CkptRunner, ResumeRejectsPolicyMismatchButForkAllowsIt) {
       CkptError);
   hooks.resume_mode = RestoreMode::kFork;
   EXPECT_GT(run_hetero(cfg, m, Policy::DynPrio, tiny_scale(), hooks).fps, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Resumable sweep manifest.
-
-struct ManifestFile {
-  ManifestFile()
-      : path((std::filesystem::temp_directory_path() /
-              ("gpuqos_manifest_" + std::to_string(::getpid()) + ".snap"))
-                 .string()) {
-    std::filesystem::remove(path);
-  }
-  ~ManifestFile() { std::filesystem::remove(path); }
-  std::string path;
-};
-
-TEST(SweepResume, ManifestRecordsAndReloads) {
-  ManifestFile f;
-  {
-    SweepManifest m(f.path);
-    EXPECT_EQ(m.size(), 0u);
-    EXPECT_FALSE(m.has("job_a"));
-    m.record("job_a", "result_a");
-    m.record("job_b", "result_b");
-  }
-  SweepManifest m2(f.path);
-  EXPECT_EQ(m2.size(), 2u);
-  ASSERT_TRUE(m2.has("job_a"));
-  EXPECT_EQ(*m2.result("job_a"), "result_a");
-  EXPECT_EQ(*m2.result("job_b"), "result_b");
-  EXPECT_EQ(m2.result("job_c"), nullptr);
-}
-
-TEST(SweepResume, CompletedJobsAreSkippedOnResume) {
-  ManifestFile f;
-  const std::vector<std::string> keys = {"k0", "k1", "k2", "k3"};
-  auto encode = [](const int& v) { return std::to_string(v); };
-  auto decode = [](const std::string& s) { return std::stoi(s); };
-
-  std::atomic<int> runs{0};
-  auto make_jobs = [&runs] {
-    std::vector<std::function<int()>> jobs;
-    for (int i = 0; i < 4; ++i) {
-      jobs.push_back([&runs, i] {
-        ++runs;
-        return i * 10;
-      });
-    }
-    return jobs;
-  };
-
-  {
-    SweepManifest manifest(f.path);
-    const std::vector<int> out = run_many_resumable<int>(
-        make_jobs(), keys, manifest, encode, decode, 2);
-    EXPECT_EQ(out, (std::vector<int>{0, 10, 20, 30}));
-    EXPECT_EQ(runs.load(), 4);
-    EXPECT_EQ(manifest.size(), 4u);
-  }
-
-  // Second sweep over the same manifest: nothing re-runs, results decode.
-  SweepManifest manifest(f.path);
-  const std::vector<int> out = run_many_resumable<int>(
-      make_jobs(), keys, manifest, encode, decode, 2);
-  EXPECT_EQ(out, (std::vector<int>{0, 10, 20, 30}));
-  EXPECT_EQ(runs.load(), 4) << "completed jobs must not re-run";
-}
-
-TEST(SweepResume, PartialManifestRunsOnlyMissingJobs) {
-  ManifestFile f;
-  {
-    SweepManifest seed(f.path);
-    seed.record("k1", "11");  // pretend job 1 finished in a prior sweep
-  }
-  SweepManifest manifest(f.path);
-  std::atomic<int> runs{0};
-  std::vector<std::function<int()>> jobs;
-  for (int i = 0; i < 3; ++i) {
-    jobs.push_back([&runs, i] {
-      ++runs;
-      return i;
-    });
-  }
-  const std::vector<int> out = run_many_resumable<int>(
-      std::move(jobs), {"k0", "k1", "k2"}, manifest,
-      [](const int& v) { return std::to_string(v); },
-      [](const std::string& s) { return std::stoi(s); }, 1);
-  EXPECT_EQ(out, (std::vector<int>{0, 11, 2}));
-  EXPECT_EQ(runs.load(), 2) << "only k0 and k2 should have run";
-}
-
-TEST(SweepResume, TornTailIsDroppedAndCompacted) {
-  ManifestFile f;
-  {
-    SweepManifest m(f.path);
-    m.record("k0", "r0");
-    m.record("k1", "r1");
-    m.record("k2", "r2");
-  }
-  // Simulate a crash mid-append: the last section loses its final bytes.
-  const auto size = std::filesystem::file_size(f.path);
-  std::filesystem::resize_file(f.path, size - 3);
-
-  SweepManifest recovered(f.path);
-  EXPECT_EQ(recovered.size(), 2u) << "everything before the tear survives";
-  EXPECT_TRUE(recovered.has("k0"));
-  EXPECT_TRUE(recovered.has("k1"));
-  EXPECT_FALSE(recovered.has("k2"));
-  EXPECT_EQ(recovered.recovered(), 1u);
-
-  // The recovering load compacted the file, so the next load is clean.
-  SweepManifest clean(f.path);
-  EXPECT_EQ(clean.size(), 2u);
-  EXPECT_EQ(clean.recovered(), 0u);
-}
-
-TEST(SweepResume, DuplicateKeyKeepsLatestAndCompacts) {
-  ManifestFile f;
-  {
-    SweepManifest m(f.path);
-    m.record("k", "stale");
-    m.record("other", "x");
-    m.record("k", "fresh");  // re-recorded: append-only files can repeat keys
-  }
-  SweepManifest m2(f.path);
-  EXPECT_EQ(m2.size(), 2u);
-  EXPECT_EQ(*m2.result("k"), "fresh");
-  EXPECT_EQ(m2.recovered(), 1u);
-
-  SweepManifest m3(f.path);
-  EXPECT_EQ(*m3.result("k"), "fresh");
-  EXPECT_EQ(m3.recovered(), 0u) << "compaction removed the duplicate";
-}
-
-TEST(SweepResume, NonManifestFileIsRejectedNotRecovered) {
-  ManifestFile f;
-  std::ofstream(f.path, std::ios::binary)
-      << "this was never a gpuqos container";
-  EXPECT_THROW(SweepManifest m(f.path), CkptError);
 }
 
 // ---------------------------------------------------------------------------

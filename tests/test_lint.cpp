@@ -1108,36 +1108,37 @@ struct Sleepy {
 
 // ---- R10: input-taint -----------------------------------------------------
 
-// The acceptance demo: a JSON-sourced count sizes a vector unchecked.
+// The acceptance demo: a count decoded from a snapshot sizes a vector
+// unchecked.
 constexpr const char* kUnboundedReserve = R"cpp(
-void decode(const JsonValue& v, std::vector<int>& out) {
-  const JsonValue& arr = v.req("jobs");
-  out.reserve(arr.items.size());
+void decode(ckpt::StateReader& r, std::vector<int>& out) {
+  const std::uint64_t n = r.u64();
+  out.reserve(n);
 }
 )cpp";
 
-TEST(InputTaint, JsonSourcedAllocationSizeIsFound) {
-  const LintResult r = lint_one("fx/svc/proto.cpp", kUnboundedReserve);
+TEST(InputTaint, ReaderSourcedAllocationSizeIsFound) {
+  const LintResult r = lint_one("fx/svc/decode.cpp", kUnboundedReserve);
   EXPECT_EQ(count_rule(r, kRuleInputTaint), 1);
 }
 
 TEST(InputTaint, DominatingBoundCheckSanitizes) {
-  const LintResult r = lint_one("fx/svc/proto.cpp", R"cpp(
-void decode(const JsonValue& v, std::vector<int>& out) {
-  const JsonValue& arr = v.req("jobs");
-  if (arr.items.size() > kMaxJobs) {
+  const LintResult r = lint_one("fx/svc/decode.cpp", R"cpp(
+void decode(ckpt::StateReader& r, std::vector<int>& out) {
+  const std::uint64_t n = r.u64();
+  if (n > kMaxEntries) {
     return;
   }
-  out.reserve(arr.items.size());
+  out.reserve(n);
 }
 )cpp");
   EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
 }
 
 TEST(InputTaint, TaintedLoopBoundIsFound) {
-  const LintResult r = lint_one("fx/svc/proto.cpp", R"cpp(
-void expand(const JsonValue& v, std::vector<int>& out) {
-  const std::uint64_t n = v.req_u64("count");
+  const LintResult r = lint_one("fx/svc/decode.cpp", R"cpp(
+void expand(ckpt::StateReader& r, std::vector<int>& out) {
+  const std::uint64_t n = r.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     out.push_back(0);
   }
@@ -1152,7 +1153,7 @@ void expand(const JsonValue& v, std::vector<int>& out) {
 }
 
 TEST(InputTaint, MemcpyLengthFromReaderIsFound) {
-  const LintResult r = lint_one("fx/svc/proto.cpp", R"cpp(
+  const LintResult r = lint_one("fx/svc/decode.cpp", R"cpp(
 void slurp(ckpt::StateReader& r, char* dst, const char* src) {
   const std::uint64_t len = r.u64();
   memcpy(dst, src, len);
@@ -1162,12 +1163,12 @@ void slurp(ckpt::StateReader& r, char* dst, const char* src) {
 }
 
 TEST(InputTaint, FreeCallResultsDoNotCarryArgumentTaint) {
-  // send_frame(tainted) returns a clean bool; only member calls keep their
+  // accept(tainted) returns a clean bool; only member calls keep their
   // receiver's taint.
-  const LintResult r = lint_one("fx/svc/proto.cpp", R"cpp(
-void pump(const JsonValue& v, std::vector<int>& out) {
-  const JsonValue& arr = v.req("jobs");
-  const bool ok = send_frame(arr);
+  const LintResult r = lint_one("fx/svc/decode.cpp", R"cpp(
+void pump(ckpt::StateReader& r, std::vector<int>& out) {
+  const std::uint64_t n = r.u64();
+  const bool ok = accept(n);
   for (std::size_t i = 0; i < out.size() && ok; ++i) {
     out[i] = 0;
   }
@@ -1180,23 +1181,23 @@ TEST(InputTaint, TaintOkAnnotationEscapes) {
   std::string text = kUnboundedReserve;
   const std::string anchor = "out.reserve";
   text.insert(text.find(anchor),
-              "/*taint:ok: jobs capped by decode_submit_jobs*/\n  ");
-  const LintResult r = lint_one("fx/svc/proto.cpp", text);
+              "/*taint:ok: n capped by the caller's section size*/\n  ");
+  const LintResult r = lint_one("fx/svc/decode.cpp", text);
   EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
 }
 
 TEST(InputTaint, OutOfScopeFilesCarryNoSources) {
   // Default taint_scopes = {"svc"}: the same snippet elsewhere is quiet.
-  const LintResult r = lint_one("fx/sim/proto.cpp", kUnboundedReserve);
+  const LintResult r = lint_one("fx/sim/decode.cpp", kUnboundedReserve);
   EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
 }
 
 TEST(InputTaint, NolintSuppresses) {
   std::string text = kUnboundedReserve;
-  const std::string anchor = "out.reserve(arr.items.size());";
+  const std::string anchor = "out.reserve(n);";
   text.insert(text.find(anchor) + anchor.size(),
               "  // NOLINT-gpuqos(input-taint)");
-  const LintResult r = lint_one("fx/svc/proto.cpp", text);
+  const LintResult r = lint_one("fx/svc/decode.cpp", text);
   EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
 }
 

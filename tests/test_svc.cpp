@@ -1,17 +1,15 @@
-// Simulation-service tests (docs/SERVICE.md): the JSON model and strict
-// parser, the length-prefixed frame protocol, job canonicalization and its
+// Simulation-service tests (docs/SERVICE.md): job canonicalization and its
 // dedup keys, the CRC-guarded result container, the persistent result store,
 // the warm checkpoint cache, and the batch executor's canonical-execution
-// guarantee (cold run == warm fork == store hit, byte for byte). The daemon
-// socket path is covered end-to-end by tests/serve_test.sh.
+// guarantee (cold run == warm fork == store hit, byte for byte).
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -23,11 +21,8 @@
 
 #include "ckpt/state_io.hpp"
 #include "sim/runner.hpp"
-#include "svc/client.hpp"
 #include "svc/exec.hpp"
 #include "svc/jobspec.hpp"
-#include "svc/json.hpp"
-#include "svc/protocol.hpp"
 #include "svc/result_io.hpp"
 #include "svc/store.hpp"
 #include "svc/warm_cache.hpp"
@@ -92,196 +87,6 @@ struct TempDir {
 int TempDir::counter = 0;
 
 // ---------------------------------------------------------------------------
-// JSON model + parser.
-
-TEST(SvcJson, WriteParsesBackIdentically) {
-  JsonValue doc = JsonValue::object();
-  doc.add("name", JsonValue::str("quote \" slash \\ newline \n tab \t"));
-  doc.add("count", JsonValue::num_u64(18446744073709551615ull));
-  doc.add("ratio", JsonValue::num_f64(0.125));
-  doc.add("on", JsonValue::boolean(true));
-  doc.add("off", JsonValue::boolean(false));
-  doc.add("nothing", JsonValue());
-  JsonValue arr = JsonValue::array();
-  arr.push(JsonValue::num_u64(1)).push(JsonValue::str("two"));
-  doc.add("items", std::move(arr));
-
-  const std::string text = json_write(doc);
-  const JsonValue back = json_parse(text);
-  EXPECT_EQ(json_write(back), text);
-  EXPECT_EQ(back.req_string("name"), "quote \" slash \\ newline \n tab \t");
-  EXPECT_EQ(back.req_u64("count"), 18446744073709551615ull);
-  EXPECT_EQ(back.req_f64("ratio"), 0.125);
-  EXPECT_TRUE(back.req("on").flag);
-  EXPECT_EQ(back.req("nothing").kind, JsonValue::Kind::kNull);
-  ASSERT_EQ(back.req("items").items.size(), 2u);
-}
-
-TEST(SvcJson, ObjectKeepsInsertionOrder) {
-  const JsonValue v = json_parse(R"({"z": 1, "a": 2, "m": 3})");
-  ASSERT_EQ(v.fields.size(), 3u);
-  EXPECT_EQ(v.fields[0].first, "z");
-  EXPECT_EQ(v.fields[1].first, "a");
-  EXPECT_EQ(v.fields[2].first, "m");
-}
-
-TEST(SvcJson, UnicodeEscapesDecode) {
-  const JsonValue v = json_parse(R"({"s": "\u0041\u00e9"})");
-  EXPECT_EQ(v.req_string("s"), "A\xc3\xa9");
-}
-
-TEST(SvcJson, MalformedInputsThrowJsonError) {
-  EXPECT_THROW((void)json_parse(""), JsonError);
-  EXPECT_THROW((void)json_parse("{"), JsonError);
-  EXPECT_THROW((void)json_parse("[1, 2,]"), JsonError);          // trailing comma
-  EXPECT_THROW((void)json_parse("{\"a\": 1} extra"), JsonError); // trailing junk
-  EXPECT_THROW((void)json_parse("\"unterminated"), JsonError);
-  EXPECT_THROW((void)json_parse("{\"a\": \"\\q\"}"), JsonError); // bad escape
-  EXPECT_THROW((void)json_parse("{'a': 1}"), JsonError);         // not RFC 8259
-  const std::string deep(100, '[');
-  EXPECT_THROW((void)json_parse(deep), JsonError);  // depth limit
-}
-
-TEST(SvcJson, CheckedAccessorsNameTheField) {
-  const JsonValue v = json_parse(R"({"n": -1, "s": "x"})");
-  EXPECT_THROW((void)v.req("missing"), JsonError);
-  EXPECT_THROW((void)v.req_u64("s"), JsonError);    // kind mismatch
-  EXPECT_THROW((void)v.req_u64("n"), JsonError);    // negative into u64
-  EXPECT_THROW((void)v.req_string("n"), JsonError);
-  EXPECT_EQ(v.req_f64("n"), -1.0);
-}
-
-// ---------------------------------------------------------------------------
-// Frame protocol.
-
-TEST(SvcProtocol, HexRoundTripAndRejects) {
-  const std::vector<std::uint8_t> bytes = {0x00, 0x7f, 0xAB, 0xFF};
-  const std::string hex = hex_encode(bytes);
-  EXPECT_EQ(hex_decode(hex), bytes);
-  EXPECT_THROW((void)hex_decode("abc"), ProtoError);   // odd length
-  EXPECT_THROW((void)hex_decode("zz"), ProtoError);    // non-hex
-  EXPECT_EQ(u64_hex(0xDEADBEEFull), "00000000deadbeef");
-}
-
-TEST(SvcProtocol, FrameReaderReassemblesByteByByte) {
-  const std::vector<std::uint8_t> a = encode_frame(hello_frame(kProtoVersion));
-  const std::vector<std::uint8_t> b =
-      encode_frame(error_frame("bad-job", "nope"));
-  std::vector<std::uint8_t> wire = a;
-  wire.insert(wire.end(), b.begin(), b.end());
-
-  FrameReader reader;
-  std::vector<JsonValue> frames;
-  for (std::uint8_t byte : wire) {
-    reader.feed(&byte, 1);
-    while (auto f = reader.next()) frames.push_back(std::move(*f));
-  }
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frame_type(frames[0]), "hello");
-  EXPECT_EQ(frames[0].req_u64("version"), kProtoVersion);
-  EXPECT_EQ(frame_type(frames[1]), "error");
-  EXPECT_EQ(frames[1].req_string("code"), "bad-job");
-  EXPECT_EQ(frames[1].req_string("message"), "nope");
-  EXPECT_EQ(reader.buffered(), 0u);
-}
-
-TEST(SvcProtocol, OversizedLengthPrefixThrows) {
-  const std::uint32_t len = kMaxFrameBytes + 1;
-  std::uint8_t prefix[4];
-  std::memcpy(prefix, &len, sizeof prefix);
-  FrameReader reader;
-  reader.feed(prefix, sizeof prefix);
-  EXPECT_THROW((void)reader.next(), ProtoError);
-}
-
-TEST(SvcProtocol, InvalidJsonPayloadThrows) {
-  const std::string payload = "not json\n";
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  std::vector<std::uint8_t> wire(sizeof len);
-  std::memcpy(wire.data(), &len, sizeof len);
-  wire.insert(wire.end(), payload.begin(), payload.end());
-  FrameReader reader;
-  reader.feed(wire.data(), wire.size());
-  EXPECT_THROW((void)reader.next(), ProtoError);
-}
-
-TEST(SvcProtocol, SubmitFrameRoundTrips) {
-  std::vector<JobSpec> jobs = {tiny_hetero("M8", "DynPrio"),
-                               tiny_cpu_alone(481)};
-  const JsonValue frame = submit_frame(7, jobs);
-  EXPECT_EQ(frame_type(frame), "submit");
-  EXPECT_EQ(frame.req_u64("id"), 7u);
-
-  const std::vector<JobSpec> back = decode_submit_jobs(frame);
-  ASSERT_EQ(back.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(canonical(back[i]), canonical(jobs[i]));
-  }
-}
-
-TEST(SvcProtocol, EncodeFrameRejectsOversizedPayload) {
-  // The encode side enforces the same kMaxFrameBytes cap as the reader: a
-  // payload the peer could never accept must not be serialised at all.
-  JsonValue v = JsonValue::object();
-  v.add("type", JsonValue::str("error"));
-  v.add("code", JsonValue::str("big"));
-  v.add("message", JsonValue::str(std::string(kMaxFrameBytes, 'a')));
-  EXPECT_THROW((void)encode_frame(v), ProtoError);
-}
-
-TEST(SvcProtocol, SubmitBatchOverJobCapThrows) {
-  JsonValue frame = JsonValue::object();
-  frame.add("type", JsonValue::str("submit"));
-  frame.add("id", JsonValue::num_u64(1));
-  JsonValue jobs = JsonValue::array();
-  for (std::size_t i = 0; i < kMaxBatchJobs + 1; ++i) {
-    jobs.push(JsonValue::object());
-  }
-  frame.add("jobs", std::move(jobs));
-  // The cap is checked before any per-job parsing or reserve(), so the
-  // empty job objects are never inspected.
-  EXPECT_THROW((void)decode_submit_jobs(frame), SpecError);
-}
-
-TEST(SvcProtocol, MalformedSubmitJobThrowsSpecError) {
-  JsonValue frame = JsonValue::object();
-  frame.add("type", JsonValue::str("submit"));
-  frame.add("id", JsonValue::num_u64(1));
-  JsonValue jobs = JsonValue::array();
-  jobs.push(JsonValue::object());  // no kind/preset/... fields
-  frame.add("jobs", std::move(jobs));
-  EXPECT_THROW((void)decode_submit_jobs(frame), SpecError);
-}
-
-TEST(SvcProtocol, ResultFrameRoundTripsAndBindsToSpec) {
-  const JobSpec spec = tiny_hetero("M1", "Throttle");
-  JobResult r;
-  r.spec = spec;
-  r.result = fake_result();
-  r.bytes = encode_result(spec, r.result);
-  r.digest = result_digest(r.bytes);
-  r.source = JobSource::kCold;
-
-  const JsonValue frame = result_frame(3, 0, r);
-  EXPECT_EQ(frame_type(frame), "result");
-  const JobResult back = decode_result_frame(frame, spec);
-  EXPECT_EQ(back.bytes, r.bytes);
-  EXPECT_EQ(back.digest, r.digest);
-  EXPECT_EQ(back.result.fps, r.result.fps);
-
-  // The same frame decoded for a different job must be rejected: the
-  // container's canonical-job binding catches it.
-  const JobSpec other = tiny_hetero("M1", "DynPrio");
-  EXPECT_THROW((void)decode_result_frame(frame, other), ckpt::CkptError);
-}
-
-TEST(SvcProtocol, FrameTypeRequiresTypeString) {
-  JsonValue v = JsonValue::object();
-  v.add("id", JsonValue::num_u64(1));
-  EXPECT_THROW((void)frame_type(v), JsonError);
-}
-
-// ---------------------------------------------------------------------------
 // Job canonicalization (the dedup identity).
 
 TEST(SvcJobSpec, CanonicalFormIsStable) {
@@ -303,18 +108,8 @@ TEST(SvcJobSpec, PoliciesShareWarmKeyButNotJobKey) {
   EXPECT_EQ(warm_canonical(a), warm_canonical(b));
   EXPECT_NE(job_key(a), job_key(b));
   EXPECT_EQ(job_key_hex(a).size(), 16u);
-}
-
-TEST(SvcJobSpec, JsonRoundTripPreservesIdentityForEveryKind) {
-  JobSpec gpu;
-  gpu.kind = JobKind::kGpuAlone;
-  gpu.gpu_app = "Crysis";
-  gpu.scale = tiny_scale();
-  for (const JobSpec& spec :
-       {tiny_hetero("M1", "Throttle"), tiny_cpu_alone(403), gpu}) {
-    const JobSpec back = job_from_json(to_json(spec));
-    EXPECT_EQ(canonical(back), canonical(spec));
-  }
+  EXPECT_EQ(job_key_hex(a), u64_hex(job_key(a)));
+  EXPECT_EQ(u64_hex(0xDEADBEEFull), "00000000deadbeef");
 }
 
 TEST(SvcJobSpec, ValidateRejectsUnknownNames) {
@@ -427,6 +222,51 @@ TEST(SvcStore, CorruptFileBehavesAsMiss) {
       << "garbage, not a container";
   EXPECT_FALSE(store.get(spec).has_value());
   EXPECT_EQ(store.rejects(), 1u);
+}
+
+TEST(SvcStore, StoresSharingADirectoryPutConcurrently) {
+  // Two stores on one directory stand in for two processes sharing a store.
+  // Each round releases both writers together, so their puts overlap.
+  TempDir dir;
+  ResultStore store_a(dir.path);
+  ResultStore store_b(dir.path);
+  const JobSpec spec_a = tiny_hetero("M1", "DynPrio");
+  const JobSpec spec_b = tiny_hetero("M1", "Throttle");
+  const std::vector<std::uint8_t> bytes_a =
+      encode_result(spec_a, fake_result());
+  const std::vector<std::uint8_t> bytes_b =
+      encode_result(spec_b, fake_result());
+  constexpr int kRounds = 200;
+  std::atomic<int> arrived{0};
+  std::atomic<int> failures{0};
+  auto writer = [&](ResultStore& store, const JobSpec& spec,
+                    const std::vector<std::uint8_t>& bytes) {
+    for (int round = 1; round <= kRounds; ++round) {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2 * round) std::this_thread::yield();
+      try {
+        store.put(spec, bytes);
+      } catch (const std::exception&) {
+        ++failures;
+      }
+    }
+  };
+  std::thread ta(writer, std::ref(store_a), std::cref(spec_a),
+                 std::cref(bytes_a));
+  std::thread tb(writer, std::ref(store_b), std::cref(spec_b),
+                 std::cref(bytes_b));
+  ta.join();
+  tb.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Each store sees both jobs, intact.
+  const auto got_a = store_b.get(spec_a);
+  const auto got_b = store_a.get(spec_b);
+  ASSERT_TRUE(got_a.has_value());
+  ASSERT_TRUE(got_b.has_value());
+  EXPECT_EQ(*got_a, bytes_a);
+  EXPECT_EQ(*got_b, bytes_b);
+  EXPECT_EQ(store_a.rejects() + store_b.rejects(), 0u);
 }
 
 TEST(SvcStore, EmptyDirDisablesPersistence) {
@@ -548,7 +388,7 @@ TEST(SvcExecutor, StoreResubmissionIsAPureReplay) {
       first.run_batch({tiny_hetero("W1", "Baseline")});
   EXPECT_EQ(cold[0].source, JobSource::kCold);
 
-  // New executor, same store (a daemon restart): zero simulation.
+  // New executor, same store (a restarted sweep): zero simulation.
   Executor second(opts);
   BatchStats stats;
   const std::vector<JobResult> replay =
@@ -584,33 +424,20 @@ TEST(SvcExecutor, InBatchDuplicatesRunOnceAndProgressStaysOrdered) {
   EXPECT_EQ(out[0].result.spec_ids, std::vector<int>{481});
 }
 
-// ---------------------------------------------------------------------------
-// Client entry point.
+TEST(SvcExecutor, RunBatchValidatesEverySpecBeforeRunning) {
+  ExecOptions serial;
+  serial.threads = 1;
+  Executor exec(serial);
 
-TEST(SvcClient, FallsBackToInProcessWithoutADaemon) {
-  ::unsetenv("GPUQOS_SERVE_SOCKET");
-  ExecOptions opts;
-  opts.threads = 1;
-  const std::unique_ptr<Client> client = Client::create("", opts);
-  ASSERT_NE(client, nullptr);
-  EXPECT_FALSE(client->remote());
-
-  const std::vector<JobResult> out =
-      client->submit_batch({tiny_cpu_alone(403)});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_GT(out[0].result.cpu_ipc[0], 0.0);
-}
-
-TEST(SvcClient, ResolveSocketPrefersExplicitPathOverEnvironment) {
-  ::setenv("GPUQOS_SERVE_SOCKET", "/tmp/env.sock", 1);
-  EXPECT_EQ(resolve_socket("/tmp/flag.sock"), "/tmp/flag.sock");
-  EXPECT_EQ(resolve_socket(""), "/tmp/env.sock");
-  ::unsetenv("GPUQOS_SERVE_SOCKET");
-  EXPECT_EQ(resolve_socket(""), "");
-}
-
-TEST(SvcClient, ConnectToAbsentSocketReturnsNull) {
-  EXPECT_EQ(Client::connect("/nonexistent/path/gpuqos.sock"), nullptr);
+  // Presets are lower-case; "Paper" must not fall back to the scaled preset
+  // and be stored under a key that names a preset it never ran.
+  JobSpec bad_preset = tiny_cpu_alone(403);
+  bad_preset.preset = "Paper";
+  EXPECT_THROW((void)exec.run_batch({tiny_cpu_alone(481), bad_preset}),
+               SpecError);
+  EXPECT_THROW((void)exec.run_batch({tiny_hetero("M99", "DynPrio")}),
+               SpecError);
+  EXPECT_EQ(exec.sim_runs(), 0u) << "no job of an invalid batch may run";
 }
 
 }  // namespace

@@ -40,11 +40,11 @@
 //                         across blocking calls (socket IO, future/condvar
 //                         waits), guarded-field writes with an empty lock
 //                         set in locking functions (/*lock:ok: reason*/);
-//   input-taint     (R10) untrusted bytes (StateReader primitives, decoded
-//                         JSON accessors — sources scoped to the service
-//                         layer) must pass a dominating bound check before
-//                         reaching resize/reserve/new[] sizes, memcpy
-//                         lengths, loop bounds, or indexing (/*taint:ok*/);
+//   input-taint     (R10) untrusted bytes (StateReader primitives — sources
+//                         scoped to the service layer) must pass a
+//                         dominating bound check before reaching
+//                         resize/reserve/new[] sizes, memcpy lengths, loop
+//                         bounds, or indexing (/*taint:ok*/);
 //   narrowing-cast  (R11) static_cast of 64-bit size/cycle expressions to a
 //                         narrower type with no dominating range check and
 //                         no masking/shift (/*narrow:ok: reason*/).
@@ -117,8 +117,8 @@ struct LintOptions {
   /// Calls whose lambda arguments are deferred event payloads (R7).
   std::vector<std::string> event_calls = {"schedule", "add_ticker"};
   /// Path substrings whose files carry untrusted-input taint *sources* (R10):
-  /// StateReader primitives and decoded-JSON accessors only taint in files
-  /// whose path contains one of these. Empty = every file.
+  /// StateReader primitives only taint in files whose path contains one of
+  /// these. Empty = every file.
   std::vector<std::string> taint_scopes = {"svc"};
   /// Parse worker threads; 0 = one per hardware thread (capped at 8).
   unsigned threads = 0;

@@ -10,7 +10,7 @@
 //       global mutex acquisition-order graph, blocking calls under a lock,
 //       and guarded-field writes outside the held region;
 //   R10 input-taint:     "t:<chain>" may-facts (2 = tainted, 1 = passed a
-//       dominating bound check) from StateReader/JSON sources to allocation
+//       dominating bound check) from StateReader sources to allocation
 //       /copy/loop/index sinks;
 //   R11 narrowing-cast:  "c:<chain>" must-facts marking values a comparison
 //       dominates, consumed by static_cast-to-narrow sites.
@@ -1024,13 +1024,6 @@ void rule_lock_discipline(const Symtab& st, CfgCache& cfgs,
 
 namespace {
 
-const std::set<std::string>& json_accessors() {
-  static const std::set<std::string> kNames = {
-      "req", "req_string", "req_u64", "req_f64",
-      "as_string", "as_u64", "as_f64"};
-  return kNames;
-}
-
 constexpr int kTainted = 2;
 constexpr int kBounded = 1;
 
@@ -1220,18 +1213,11 @@ class TaintDomain : public Domain {
   bool is_source(const AbsState& s, const ChainRef& c) const {
     if (!c.is_call) return false;
     const std::vector<std::string> parts = split_chain(c.key);
-    const std::string& last = parts.back();
-    if (parts.size() == 1) return last == "json_parse";
-    if (json_accessors().count(last) != 0) return true;
-    if (reader_writer_prims().count(last) != 0) {
+    if (parts.size() == 1) return false;  // free calls are never sources
+    if (reader_writer_prims().count(parts.back()) != 0) {
       const std::string base =
           chain_type(fn_, locals_, st_, parts, parts.size() - 1);
       return base.find("StateReader") != std::string::npos;
-    }
-    if (last == "get" || last == "items" || last == "fields") {
-      const std::string base =
-          chain_type(fn_, locals_, st_, parts, parts.size() - 1);
-      if (base.find("Json") != std::string::npos) return true;
     }
     // Derived from a tainted base — unless a bound check downgraded the
     // chain itself (kBounded falls through to level() in eval_range).
@@ -1252,7 +1238,7 @@ class TaintDomain : public Domain {
       } else {
         lvl = std::max(lvl, level(s, c.key));
         // A non-source free function owns its return value: taint does not
-        // flow through call results intra-procedurally (send_frame(tainted)
+        // flow through call results intra-procedurally (accept(tainted)
         // yields a clean bool), so its argument range is skipped. Member
         // calls keep the receiver's taint via level() above.
         if (c.is_call && c.key.find('.') == std::string::npos && k < e) {
@@ -1275,7 +1261,7 @@ class TaintDomain : public Domain {
     out_.push_back(make(
         kRuleInputTaint, fn_.file->path, line, fn_.qualified,
         what + " comes from untrusted input with no dominating bound check "
-              "— validate against a protocol cap (or remaining()) before "
+              "— validate against a format cap (or remaining()) before "
               "sizing memory (/*taint:ok: reason*/ if audited)"));
   }
 };
