@@ -22,8 +22,6 @@ svc::ExecOptions g_exec_options;
 /// Process-wide executor. Built on first use from whatever init_harness
 /// parsed (or the defaults when a harness never called it).
 svc::Executor& executor() {
-  // NOLINT-gpuqos(concurrency-discipline): C++11 magic-static init is
-  // thread-safe; harnesses submit batches one at a time.
   static svc::Executor e([] {
     svc::ExecOptions opts = g_exec_options;
     if (opts.store_dir.empty()) opts.store_dir = default_store_dir();

@@ -1,5 +1,8 @@
 #!/bin/sh
 # Regenerates every paper table/figure plus the substrate micro-benchmarks.
+# The perf_* harnesses are CI gates, not figures: they write JSON reports (and
+# perf_serve a perf_serve_store/) into the working directory, so run them
+# explicitly.
 #
 # Each figure harness warms the shared memoized cache (gpuqos_bench_cache/,
 # override with GPUQOS_BENCH_CACHE) through the parallel sweep pool before
@@ -9,7 +12,7 @@
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   case "$b" in
-    */perf_engine) continue ;;  # perf harness: run explicitly, emits JSON
+    */perf_*) continue ;;
   esac
   echo "### $b"
   "$b"

@@ -176,8 +176,6 @@ std::string to_string(Policy p) {
 }
 
 const std::vector<Policy>& all_policies() {
-  // NOLINT-gpuqos(concurrency-discipline): immutable input-independent table;
-  // C++11 magic-static init is thread-safe and nothing mutates it after.
   static const std::vector<Policy> kAll = {
       Policy::Baseline, Policy::Throttle, Policy::ThrottleCpuPrio,
       Policy::Sms09,    Policy::Sms0,     Policy::DynPrio,

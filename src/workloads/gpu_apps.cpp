@@ -89,8 +89,6 @@ std::vector<GpuAppDesc> build_apps() {
 }  // namespace
 
 const std::vector<GpuAppDesc>& gpu_apps() {
-  // NOLINT-gpuqos(concurrency-discipline): immutable input-independent table;
-  // C++11 magic-static init is thread-safe and runs once.
   static const std::vector<GpuAppDesc> apps = build_apps();
   return apps;
 }

@@ -46,15 +46,11 @@ std::vector<HeteroMix> build_w() {
 }  // namespace
 
 const std::vector<HeteroMix>& m_mixes() {
-  // NOLINT-gpuqos(concurrency-discipline): immutable input-independent table;
-  // C++11 magic-static init is thread-safe and runs once.
   static const std::vector<HeteroMix> m = build_m();
   return m;
 }
 
 const std::vector<HeteroMix>& w_mixes() {
-  // NOLINT-gpuqos(concurrency-discipline): immutable input-independent table;
-  // C++11 magic-static init is thread-safe and runs once.
   static const std::vector<HeteroMix> w = build_w();
   return w;
 }

@@ -52,8 +52,6 @@ std::map<int, SpecProfile> build_profiles() {
 }
 
 const std::map<int, SpecProfile>& profiles() {
-  // NOLINT-gpuqos(concurrency-discipline): immutable input-independent table;
-  // C++11 magic-static init is thread-safe and runs once.
   static const std::map<int, SpecProfile> p = build_profiles();
   return p;
 }
@@ -65,8 +63,6 @@ const SpecProfile& spec_profile(int spec_id) {
 }
 
 const std::vector<int>& spec_ids() {
-  // NOLINT-gpuqos(concurrency-discipline): immutable input-independent table;
-  // C++11 magic-static init is thread-safe and runs once.
   static const std::vector<int> ids = [] {
     std::vector<int> v;
     for (const auto& [id, prof] : profiles()) v.push_back(id);

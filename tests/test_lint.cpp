@@ -3,9 +3,9 @@
 // Each test lints a small inline fixture snippet through the same engine the
 // CLI uses (run_lint from gpuqos_lint_core), covering for every rule family:
 // a positive (the violation is found), a negative (compliant code is clean),
-// a suppression (NOLINT-gpuqos / skip annotations are honored), and the
-// baseline filter. The self-lint of the real tree runs as the separate
-// lint_src ctest against the committed baseline.
+// and a suppression (NOLINT-gpuqos / skip annotations are honored). The
+// self-lint of the real tree runs as the separate `lint_src` and `lint_tree`
+// ctests.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,13 +19,12 @@
 namespace gpuqos::lint {
 namespace {
 
-LintResult lint_files(std::vector<SourceFile> files, LintOptions opts = {}) {
-  return run_lint(files, opts);
+LintResult lint_files(const std::vector<SourceFile>& files) {
+  return run_lint(files);
 }
 
-LintResult lint_one(const std::string& path, const std::string& text,
-                    LintOptions opts = {}) {
-  return lint_files({SourceFile{path, text}}, std::move(opts));
+LintResult lint_one(const std::string& path, const std::string& text) {
+  return lint_files({SourceFile{path, text}});
 }
 
 int count_rule(const LintResult& r, const std::string& rule) {
@@ -292,6 +291,35 @@ void arena(int x) {
   EXPECT_EQ(r.nolint_suppressed, 2);
 }
 
+// A suppression naming no rule (typically one since deleted or renamed)
+// silences nothing, so it is reported where it stands.
+TEST(CheckHygiene, StaleNolintRuleNamesAreFound) {
+  const LintResult r = lint_one("fx/stale.cpp", R"cpp(
+int f() {
+  // NOLINT-gpuqos(concurrency-discipline): the rule is gone
+  return 1;
+}
+void g() {}  // NOLINT-gpuqos(det-hazard, lock-discipline)
+// NOLINT-gpuqos-file(input-taint): file-wide, just as stale
+)cpp");
+  EXPECT_EQ(count_rule(r, kRuleCheckHygiene), 3);
+  EXPECT_TRUE(has_symbol(r, "stale-nolint:concurrency-discipline"));
+  EXPECT_TRUE(has_symbol(r, "stale-nolint:lock-discipline"));
+  EXPECT_TRUE(has_symbol(r, "stale-nolint:input-taint"));
+}
+
+TEST(CheckHygiene, KnownRulesWildcardAndProsePlaceholdersAreNotStale) {
+  const LintResult r = lint_one("fx/fresh.cpp", R"cpp(
+// Syntax: `NOLINT-gpuqos(<rule>,...): reason` on the line, or
+// `NOLINT-gpuqos-file(...)` anywhere in the file.
+int f() {
+  return 1;  // NOLINT-gpuqos(*): every rule, on purpose
+}
+void g() {}  // NOLINT-gpuqos(det-hazard, narrowing-cast): listed rules
+)cpp");
+  EXPECT_TRUE(r.findings.empty());
+}
+
 // ---- R4: header-hygiene ---------------------------------------------------
 
 TEST(HeaderHygiene, UnguardedHeaderIsFound) {
@@ -321,68 +349,15 @@ TEST(HeaderHygiene, FileWideNolintSuppresses) {
   EXPECT_EQ(r.nolint_suppressed, 1);
 }
 
-// ---- Baseline and output formats ------------------------------------------
+// ---- output format --------------------------------------------------------
 
-TEST(Baseline, FingerprintsFilterAndSurviveLineShifts) {
-  const std::string drifting = R"cpp(
-#pragma once
-struct Drifting {
-  void save(StateWriter& w) const { w.u64(a_); }
-  void load(StateReader& r) { a_ = r.u64(); }
-  std::uint64_t a_ = 0;
-  std::uint64_t b_ = 0;
-};
-)cpp";
-  LintResult first = lint_one("fx/base.hpp", drifting);
-  ASSERT_EQ(first.findings.size(), 2u);
-  // Fingerprints are rule|file|symbol: the save and load findings for b_
-  // collapse into one entry, so the whole symbol is baselined at once.
-  const std::set<std::string> baseline =
-      parse_baseline(to_baseline(first));
-  EXPECT_EQ(baseline.size(), 1u);
-
-  // Shift every line: fingerprints are line-free, so the baseline holds.
-  LintResult second = lint_one("fx/base.hpp", "\n\n\n" + drifting);
-  apply_baseline(second, baseline);
-  EXPECT_TRUE(second.findings.empty());
-  EXPECT_EQ(second.baseline_filtered, 2);
-
-  // A new violation is NOT absorbed by the old baseline.
-  std::string grown = drifting;
-  grown.insert(grown.find("std::uint64_t b_"), "std::uint64_t c_ = 0;\n  ");
-  LintResult third = lint_one("fx/base.hpp", grown);
-  apply_baseline(third, baseline);
-  ASSERT_EQ(third.findings.size(), 2u);  // save + load for c_
-  EXPECT_TRUE(has_symbol(third, "Drifting::c_"));
-}
-
-TEST(Baseline, ParserIgnoresCommentsAndBlanks) {
-  const std::set<std::string> b = parse_baseline(
-      "# header comment\n\n  state-coverage|src/a.hpp|A::x_  \r\n");
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(*b.begin(), "state-coverage|src/a.hpp|A::x_");
-}
-
-TEST(Formats, JsonAndGithubCarryRuleFileLine) {
+TEST(Formats, GithubCarriesRuleFileLine) {
   const LintResult r = lint_one("fx/raw.hpp", "struct Unguarded {};\n");
   ASSERT_EQ(r.findings.size(), 1u);
-  const std::string json = format_json(r);
-  EXPECT_NE(json.find("\"rule\": \"header-hygiene\""), std::string::npos);
-  EXPECT_NE(json.find("\"file\": \"fx/raw.hpp\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
   const std::string gh = format_github(r);
   EXPECT_NE(gh.find("::error file=fx/raw.hpp,line=1,"
                     "title=gpuqos-lint(header-hygiene)::"),
             std::string::npos);
-}
-
-TEST(Formats, RuleFilterRunsOnlySelectedRules) {
-  LintOptions opts;
-  opts.rules.insert(kRuleCheckHygiene);
-  const LintResult r = lint_one("fx/raw.hpp",
-                                "void f() { std::cerr << 1; }\n", opts);
-  EXPECT_EQ(count_rule(r, kRuleCheckHygiene), 1);
-  EXPECT_EQ(count_rule(r, kRuleHeaderHygiene), 0);  // unguarded, but off
 }
 
 // ---- R5: det-hazard -------------------------------------------------------
@@ -497,171 +472,6 @@ struct Owner {
   EXPECT_TRUE(has_symbol(r, "Owner::by_ptr_"));
 }
 
-// ---- R6: concurrency-discipline -------------------------------------------
-
-constexpr const char* kSharedRegistry = R"cpp(
-#pragma once
-struct Registry {
-  void record(int v) { rows_.push_back(v); }
-  std::mutex mu_;
-  std::vector<int> rows_;
-};
-)cpp";
-
-TEST(Concurrency, UnlockedWriteInSharedClassIsFound) {
-  const LintResult r = lint_one("fx/reg.hpp", kSharedRegistry);
-  EXPECT_EQ(count_rule(r, kRuleConcurrency), 1);
-  EXPECT_TRUE(has_symbol(r, "Registry::rows_@record"));
-}
-
-TEST(Concurrency, RaiiLockInSameFunctionIsClean) {
-  const LintResult r = lint_one("fx/reg.hpp", R"cpp(
-#pragma once
-struct Registry {
-  void record(int v) {
-    std::lock_guard<std::mutex> g(mu_);
-    rows_.push_back(v);
-  }
-  std::mutex mu_;
-  std::vector<int> rows_;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleConcurrency), 0);
-}
-
-TEST(Concurrency, LockedSuffixMeansCallerHoldsTheMutex) {
-  std::string text = kSharedRegistry;
-  const std::size_t pos = text.find("record");
-  text.replace(pos, 6, "record_locked");
-  const LintResult r = lint_one("fx/reg.hpp", text);
-  EXPECT_EQ(count_rule(r, kRuleConcurrency), 0);
-}
-
-TEST(Concurrency, OwnWorkerClassAnnotationExempts) {
-  std::string text = kSharedRegistry;
-  const std::string anchor = "struct Registry {";
-  text.insert(text.find(anchor) + anchor.size(),
-              " /*own:worker: one per pool worker*/");
-  const LintResult r = lint_one("fx/reg.hpp", text);
-  EXPECT_EQ(count_rule(r, kRuleConcurrency), 0);
-}
-
-TEST(Concurrency, OwnGuardedFieldAnnotationExempts) {
-  std::string text = kSharedRegistry;
-  const std::string anchor = "std::vector<int> rows_;";
-  text.insert(text.find(anchor) + anchor.size(),
-              " /*own:guarded: only written before the pool starts*/");
-  const LintResult r = lint_one("fx/reg.hpp", text);
-  EXPECT_EQ(count_rule(r, kRuleConcurrency), 0);
-}
-
-TEST(Concurrency, OwnSharedClassWithoutMutexIsChecked) {
-  const LintResult r = lint_one("fx/bus.hpp", R"cpp(
-#pragma once
-struct Bus { /*own:shared: one queue, many producers*/
-  void post(int v) { ++pending_; }
-  int pending_ = 0;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleConcurrency), 1);
-  EXPECT_TRUE(has_symbol(r, "Bus::pending_@post"));
-}
-
-TEST(Concurrency, BareMutexLockIsFound) {
-  const LintResult r = lint_one("fx/bare.hpp", R"cpp(
-#pragma once
-struct S {
-  int get() { mu_.lock(); int v = x_; mu_.unlock(); return v; }
-  std::mutex mu_;
-  int x_ = 0;
-};
-)cpp");
-  EXPECT_TRUE(has_symbol(r, "S::get#bare-lock:mu_"));
-  EXPECT_GE(count_rule(r, kRuleConcurrency), 2);  // lock() and unlock()
-}
-
-TEST(Concurrency, ConstStaticWithCallInitializerIsFound) {
-  const LintResult r = lint_one("fx/tab.cpp", R"cpp(
-std::vector<int> build();
-const std::vector<int>& table() {
-  static const std::vector<int> t = build();
-  return t;
-}
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleConcurrency), 1);
-  EXPECT_TRUE(has_symbol(r, "table#static-init:t"));
-}
-
-TEST(Concurrency, ConstexprStaticIsConstantInitializedAndClean) {
-  const LintResult r = lint_one("fx/tab.cpp", R"cpp(
-constexpr int make() { return 3; }
-int probe() {
-  static constexpr int t = make();
-  return t;
-}
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleConcurrency), 0);
-}
-
-// ---- R7: event-capture ----------------------------------------------------
-
-constexpr const char* kRefCapture = R"cpp(
-#pragma once
-struct Mod {
-  void arm(Engine& eng) {
-    int budget = 4;
-    eng.schedule(10, [&] { consume(budget); });
-  }
-  void consume(int n);
-};
-)cpp";
-
-TEST(EventCapture, ReferenceCaptureIntoScheduleIsFound) {
-  const LintResult r = lint_one("fx/mod.hpp", kRefCapture);
-  EXPECT_EQ(count_rule(r, kRuleEventCapture), 1);
-  EXPECT_TRUE(has_symbol(r, "Mod::arm#capture:&"));
-}
-
-TEST(EventCapture, NamedReferenceAndAddressInitCaptureAreFound) {
-  const LintResult r = lint_one("fx/mod.hpp", R"cpp(
-#pragma once
-struct Mod {
-  void arm(Engine& eng) {
-    int budget = 4;
-    eng.schedule(10, [&budget] { use(budget); });
-    eng.add_ticker([p = &budget] { use(*p); });
-  }
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleEventCapture), 2);
-  EXPECT_TRUE(has_symbol(r, "Mod::arm#capture:budget"));
-  EXPECT_TRUE(has_symbol(r, "Mod::arm#capture:p"));
-}
-
-TEST(EventCapture, ByValueAndThisCapturesAreClean) {
-  const LintResult r = lint_one("fx/mod.hpp", R"cpp(
-#pragma once
-struct Mod {
-  void arm(Engine& eng) {
-    int budget = 4;
-    eng.schedule(10, [this, budget] { consume(budget); });
-    eng.add_ticker([n = budget] { sink(n); });
-  }
-  void consume(int n);
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleEventCapture), 0);
-}
-
-TEST(EventCapture, CapOkAnnotationEscapes) {
-  std::string text = kRefCapture;
-  const std::string anchor = "eng.schedule(10, [&]";
-  text.insert(text.find(anchor),
-              "/*cap:ok: Mod outlives the engine queue*/ ");
-  const LintResult r = lint_one("fx/mod.hpp", text);
-  EXPECT_EQ(count_rule(r, kRuleEventCapture), 0);
-}
-
 // ---- CFG builder (v3 substrate) -------------------------------------------
 
 Cfg cfg_of(const std::string& src) {
@@ -707,24 +517,6 @@ void f(int n) {
   EXPECT_TRUE(std::find(cfg.blocks[ret].succ.begin(),
                         cfg.blocks[ret].succ.end(),
                         cfg.exit) != cfg.blocks[ret].succ.end());
-}
-
-TEST(CfgBuild, ScopeTreeNestsBraceGroups) {
-  const Cfg cfg = cfg_of(R"cpp(
-void f() {
-  int a = 0;
-  {
-    int b = 1;
-  }
-}
-)cpp");
-  int inner = -1;
-  for (const CfgBlock& b : cfg.blocks) {
-    for (const CfgStmt& s : b.stmts) inner = std::max(inner, s.scope);
-  }
-  ASSERT_GT(inner, 0);  // the nested brace group opened a child scope
-  EXPECT_TRUE(cfg.scope_encloses(0, inner));
-  EXPECT_FALSE(cfg.scope_encloses(inner, 0));
 }
 
 // ---- abstract interpreter (v3 substrate) ----------------------------------
@@ -955,252 +747,6 @@ TEST(StateOrder, NolintSuppresses) {
   EXPECT_EQ(count_rule(r, kRuleStateOrder), 0);
 }
 
-// ---- R9: lock-discipline --------------------------------------------------
-
-// The acceptance demo: the same two mutexes taken in opposite orders.
-constexpr const char* kLockInversion = R"cpp(
-#pragma once
-class Pair {
- public:
-  void forward() {
-    std::lock_guard<std::mutex> a(mu_a_);
-    std::lock_guard<std::mutex> b(mu_b_);
-    ++x_;
-  }
-  void backward() {
-    std::lock_guard<std::mutex> b(mu_b_);
-    std::lock_guard<std::mutex> a(mu_a_);
-    ++x_;
-  }
-
- private:
-  std::mutex mu_a_;
-  std::mutex mu_b_;
-  int x_ = 0;
-};
-)cpp";
-
-TEST(LockDiscipline, AcquisitionOrderInversionIsFound) {
-  const LintResult r = lint_one("fx/pair.hpp", kLockInversion);
-  EXPECT_EQ(count_rule(r, kRuleLockDiscipline), 1);
-  EXPECT_TRUE(has_symbol(r, "lock-order:Pair::mu_a_<->Pair::mu_b_"));
-}
-
-TEST(LockDiscipline, ConsistentOrderIsClean) {
-  const LintResult r = lint_one("fx/pair.hpp", R"cpp(
-#pragma once
-class Pair {
- public:
-  void forward() {
-    std::lock_guard<std::mutex> a(mu_a_);
-    std::lock_guard<std::mutex> b(mu_b_);
-    ++x_;
-  }
-  void also_forward() {
-    std::scoped_lock both(mu_a_, mu_b_);
-    ++x_;
-  }
-
- private:
-  std::mutex mu_a_;
-  std::mutex mu_b_;
-  int x_ = 0;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleLockDiscipline), 0);
-}
-
-TEST(LockDiscipline, LockOkAnnotationEscapesTheInversion) {
-  std::string text = kLockInversion;
-  // Annotate the second acquisition in forward(), where the edge is drawn.
-  const std::string anchor = "std::lock_guard<std::mutex> b(mu_b_);\n    ++x_;";
-  text.insert(text.find(anchor),
-              "/*lock:ok: forward and backward are phase-exclusive*/\n    ");
-  const LintResult r = lint_one("fx/pair.hpp", text);
-  EXPECT_EQ(count_rule(r, kRuleLockDiscipline), 0);
-}
-
-TEST(LockDiscipline, BlockingSleepUnderGuardIsFound) {
-  const LintResult r = lint_one("fx/sleepy.hpp", R"cpp(
-#pragma once
-struct Sleepy {
-  void nap() {
-    std::lock_guard<std::mutex> g(mu_);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ++hits_;
-  }
-  std::mutex mu_;
-  int hits_ = 0;
-};
-)cpp");
-  ASSERT_EQ(count_rule(r, kRuleLockDiscipline), 1);
-  for (const Finding& f : r.findings) {
-    if (f.rule == kRuleLockDiscipline) {
-      EXPECT_NE(f.message.find("sleep_for"), std::string::npos);
-      EXPECT_NE(f.message.find("Sleepy::mu_"), std::string::npos);
-    }
-  }
-}
-
-TEST(LockDiscipline, CvWaitReleasesItsOwnLock) {
-  const LintResult r = lint_one("fx/cv.hpp", R"cpp(
-#pragma once
-struct Pump {
-  void drain() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk);
-    ++woke_;
-  }
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int woke_ = 0;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleLockDiscipline), 0);
-}
-
-TEST(LockDiscipline, WriteBeforeTheGuardHasAnEmptyLockSet) {
-  const LintResult r = lint_one("fx/counter.hpp", R"cpp(
-#pragma once
-struct Counter {
-  void bump() {
-    ++hits_;
-    std::lock_guard<std::mutex> g(mu_);
-    ++hits_;
-  }
-  std::mutex mu_;
-  int hits_ = 0;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleLockDiscipline), 1);
-  EXPECT_TRUE(has_symbol(r, "Counter::hits_"));
-}
-
-TEST(LockDiscipline, LockedSuffixSeedsTheEntryLockSet) {
-  // *_locked runs with the class mutexes held by convention, so a blocking
-  // sleep inside is a finding even with no guard in sight.
-  const LintResult r = lint_one("fx/conv.hpp", R"cpp(
-#pragma once
-struct Conv {
-  void slow_locked() {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  std::mutex mu_;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleLockDiscipline), 1);
-}
-
-TEST(LockDiscipline, NolintSuppresses) {
-  const LintResult r = lint_one("fx/sleepy.hpp", R"cpp(
-#pragma once
-struct Sleepy {
-  void nap() {
-    std::lock_guard<std::mutex> g(mu_);
-    // NOLINT-gpuqos(lock-discipline): bench-only pacing loop
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  std::mutex mu_;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleLockDiscipline), 0);
-}
-
-// ---- R10: input-taint -----------------------------------------------------
-
-// The acceptance demo: a count decoded from a snapshot sizes a vector
-// unchecked.
-constexpr const char* kUnboundedReserve = R"cpp(
-void decode(ckpt::StateReader& r, std::vector<int>& out) {
-  const std::uint64_t n = r.u64();
-  out.reserve(n);
-}
-)cpp";
-
-TEST(InputTaint, ReaderSourcedAllocationSizeIsFound) {
-  const LintResult r = lint_one("fx/svc/decode.cpp", kUnboundedReserve);
-  EXPECT_EQ(count_rule(r, kRuleInputTaint), 1);
-}
-
-TEST(InputTaint, DominatingBoundCheckSanitizes) {
-  const LintResult r = lint_one("fx/svc/decode.cpp", R"cpp(
-void decode(ckpt::StateReader& r, std::vector<int>& out) {
-  const std::uint64_t n = r.u64();
-  if (n > kMaxEntries) {
-    return;
-  }
-  out.reserve(n);
-}
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
-}
-
-TEST(InputTaint, TaintedLoopBoundIsFound) {
-  const LintResult r = lint_one("fx/svc/decode.cpp", R"cpp(
-void expand(ckpt::StateReader& r, std::vector<int>& out) {
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(0);
-  }
-}
-)cpp");
-  ASSERT_EQ(count_rule(r, kRuleInputTaint), 1);
-  for (const Finding& f : r.findings) {
-    if (f.rule == kRuleInputTaint) {
-      EXPECT_NE(f.message.find("loop bound"), std::string::npos);
-    }
-  }
-}
-
-TEST(InputTaint, MemcpyLengthFromReaderIsFound) {
-  const LintResult r = lint_one("fx/svc/decode.cpp", R"cpp(
-void slurp(ckpt::StateReader& r, char* dst, const char* src) {
-  const std::uint64_t len = r.u64();
-  memcpy(dst, src, len);
-}
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleInputTaint), 1);
-}
-
-TEST(InputTaint, FreeCallResultsDoNotCarryArgumentTaint) {
-  // accept(tainted) returns a clean bool; only member calls keep their
-  // receiver's taint.
-  const LintResult r = lint_one("fx/svc/decode.cpp", R"cpp(
-void pump(ckpt::StateReader& r, std::vector<int>& out) {
-  const std::uint64_t n = r.u64();
-  const bool ok = accept(n);
-  for (std::size_t i = 0; i < out.size() && ok; ++i) {
-    out[i] = 0;
-  }
-}
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
-}
-
-TEST(InputTaint, TaintOkAnnotationEscapes) {
-  std::string text = kUnboundedReserve;
-  const std::string anchor = "out.reserve";
-  text.insert(text.find(anchor),
-              "/*taint:ok: n capped by the caller's section size*/\n  ");
-  const LintResult r = lint_one("fx/svc/decode.cpp", text);
-  EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
-}
-
-TEST(InputTaint, OutOfScopeFilesCarryNoSources) {
-  // Default taint_scopes = {"svc"}: the same snippet elsewhere is quiet.
-  const LintResult r = lint_one("fx/sim/decode.cpp", kUnboundedReserve);
-  EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
-}
-
-TEST(InputTaint, NolintSuppresses) {
-  std::string text = kUnboundedReserve;
-  const std::string anchor = "out.reserve(n);";
-  text.insert(text.find(anchor) + anchor.size(),
-              "  // NOLINT-gpuqos(input-taint)");
-  const LintResult r = lint_one("fx/svc/decode.cpp", text);
-  EXPECT_EQ(count_rule(r, kRuleInputTaint), 0);
-}
-
 // ---- R11: narrowing-cast --------------------------------------------------
 
 // The acceptance demo: a 64-bit snapshot value squeezed into int unchecked.
@@ -1336,92 +882,6 @@ struct D {
 )cpp");
   EXPECT_EQ(count_rule(r, kRuleStateCoverage), 1);
   EXPECT_TRUE(has_symbol(r, "D::counter_"));
-}
-
-// ---- parse cache + parallel parse ----------------------------------------
-
-TEST(ParseCacheTest, SecondRunHitsAndStampChangeMisses) {
-  ParseCache cache;
-  std::vector<FileInput> files{
-      FileInput{"fx/raw.hpp", "struct Unguarded {};\n", 42}};
-  const LintResult r1 = run_lint_cached(files, cache, {});
-  EXPECT_EQ(r1.files_parsed, 1);
-  EXPECT_EQ(r1.cache_hits, 0);
-  ASSERT_EQ(r1.findings.size(), 1u);
-
-  const LintResult r2 = run_lint_cached(files, cache, {});
-  EXPECT_EQ(r2.files_parsed, 0);
-  EXPECT_EQ(r2.cache_hits, 1);
-  ASSERT_EQ(r2.findings.size(), 1u);
-  EXPECT_EQ(fingerprint(r2.findings[0]), fingerprint(r1.findings[0]));
-
-  files[0].stamp = 43;  // content "changed"
-  const LintResult r3 = run_lint_cached(files, cache, {});
-  EXPECT_EQ(r3.files_parsed, 1);
-  EXPECT_EQ(r3.cache_hits, 0);
-  EXPECT_EQ(cache.size(), 1u);  // replaced, not grown
-}
-
-TEST(ParseCacheTest, StampZeroDisablesCaching) {
-  ParseCache cache;
-  const std::vector<FileInput> files{
-      FileInput{"fx/raw.hpp", "struct Unguarded {};\n", 0}};
-  const LintResult r1 = run_lint_cached(files, cache, {});
-  const LintResult r2 = run_lint_cached(files, cache, {});
-  EXPECT_EQ(r1.cache_hits + r2.cache_hits, 0);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ParallelParse, FindingOrderIsThreadCountInvariant) {
-  std::vector<FileInput> files;
-  for (int i = 0; i < 24; ++i) {
-    files.push_back(FileInput{"fx/u" + std::to_string(i) + ".hpp",
-                              "struct U" + std::to_string(i) + " {};\n", 0});
-  }
-  LintOptions one;
-  one.threads = 1;
-  LintOptions many;
-  many.threads = 8;
-  ParseCache c1, c2;
-  const LintResult r1 = run_lint_cached(files, c1, one);
-  const LintResult r2 = run_lint_cached(files, c2, many);
-  ASSERT_EQ(r1.findings.size(), r2.findings.size());
-  for (std::size_t i = 0; i < r1.findings.size(); ++i) {
-    EXPECT_EQ(fingerprint(r1.findings[i]), fingerprint(r2.findings[i]));
-    EXPECT_EQ(r1.findings[i].line, r2.findings[i].line);
-  }
-}
-
-// ---- SARIF + stats --------------------------------------------------------
-
-TEST(Formats, SarifCarriesRuleLocationAndFingerprint) {
-  const LintResult r = lint_one("fx/raw.hpp", "struct Unguarded {};\n");
-  ASSERT_EQ(r.findings.size(), 1u);
-  const std::string sarif = format_sarif(r);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"gpuqos-lint\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"header-hygiene\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"uri\": \"fx/raw.hpp\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 1"), std::string::npos);
-  EXPECT_NE(sarif.find("\"gpuqosLintFingerprint/v1\": \"" +
-                       fingerprint(r.findings[0]) + "\""),
-            std::string::npos);
-  // Every rule is declared in the driver, even with one result.
-  for (const std::string& rule : all_rules()) {
-    EXPECT_NE(sarif.find("{\"id\": \"" + rule + "\"}"), std::string::npos);
-  }
-}
-
-TEST(Formats, StatsTableListsEveryRuleFamily) {
-  const LintResult r = lint_one("fx/raw.hpp", "struct Unguarded {};\n");
-  std::set<std::string> seen;
-  for (const RuleStat& rs : r.rule_stats) seen.insert(rs.rule);
-  for (const std::string& rule : all_rules()) {
-    EXPECT_EQ(seen.count(rule), 1u) << rule;
-  }
-  const std::string stats = format_stats(r);
-  EXPECT_NE(stats.find("det-hazard"), std::string::npos);
-  EXPECT_NE(stats.find("parse:"), std::string::npos);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -185,6 +186,50 @@ TEST(SvcResultIo, CorruptionAndWrongSpecAreRejected) {
   // wrong job's numbers).
   EXPECT_THROW((void)decode_result(tiny_hetero("M1", "Baseline"), bytes),
                ckpt::CkptError);
+}
+
+TEST(SvcResultIo, CountsPastTheSectionEndAreRejected) {
+  // CRC-valid containers whose element count claims more entries than the
+  // section has bytes left: the decoder must refuse with the count's own
+  // CkptError before it sizes a vector from the count (a forged count would
+  // otherwise reach reserve() and throw bad_alloc / length_error instead).
+  const JobSpec spec = tiny_hetero("M1", "DynPrio");
+  const std::uint64_t kHuge = std::numeric_limits<std::uint64_t>::max();
+  const char* const kCounts[] = {"spec_ids", "cpu_ipc", "stat_delta"};
+  for (int bad = 0; bad < 3; ++bad) {
+    SCOPED_TRACE(kCounts[bad]);
+    ckpt::StateWriter w;
+    w.begin_section("svc.job");
+    w.u32(kResultFormat);
+    w.str(canonical(spec));
+    w.end_section();
+    w.begin_section("svc.result");
+    w.str("M1");
+    w.str(to_string(Policy::DynPrio));
+    w.u64(bad == 0 ? kHuge : 0);  // spec_ids count
+    if (bad >= 1) w.u64(bad == 1 ? kHuge : 0);  // cpu_ipc count
+    if (bad == 2) {
+      w.f64(42.5);       // fps
+      w.f64(1000.0);     // gpu_frame_cycles
+      w.f64(0.125);      // seconds
+      w.boolean(false);  // hit_cycle_cap
+      w.f64(-3.5);       // est_error_pct
+      w.u64(17);         // est_samples
+      w.u64(2);          // est_relearns
+      w.u64(kHuge);      // stat_delta count
+    }
+    w.end_section();
+    const std::vector<std::uint8_t> bytes = w.finish();
+    try {
+      (void)decode_result(spec, bytes);
+      ADD_FAILURE() << "forged count decoded";
+    } catch (const ckpt::CkptError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(kCounts[bad]) +
+                                           " overrun"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

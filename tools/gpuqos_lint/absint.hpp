@@ -1,15 +1,15 @@
 // Forward abstract interpretation over the lint CFG (docs/ANALYSIS.md,
-// "gpuqos-lint v3").
+// "gpuqos-lint").
 //
 // The engine is rule-agnostic: a state is a string-keyed map of small
-// integer lattice values (lock sets, taint levels, range-checked marks), and
-// each rule supplies a Domain describing its lattice join and its transfer
-// functions. Two passes run per function:
+// integer lattice values (R11 keeps range-checked marks), and each rule
+// supplies a Domain describing its lattice join and its transfer functions.
+// Two passes run per function:
 //   solve()  — worklist fixpoint over block-entry states. Joins are
 //              pointwise; a key missing on one side is resolved by
 //              Domain::join_missing, which lets one domain mix may-facts
-//              (taint: missing = bottom, keep the other side) and must-facts
-//              (locks/checks: missing = not established, drop) in one state.
+//              (missing = bottom, keep the other side) and must-facts
+//              (checks: missing = not established, drop) in one state.
 //   report() — one replay over the stabilized states, calling visit hooks
 //              with the state *before* each statement / branch so rules emit
 //              findings against converged facts. Blocks never reached in
@@ -26,7 +26,7 @@
 namespace gpuqos::lint {
 
 /// Abstract environment: lattice value per tracked key. Keys are
-/// rule-defined (variable names, member chains, "Class::mutex" lock ids).
+/// rule-defined (variable names, member chains).
 using AbsState = std::map<std::string, int>;
 
 class Domain {

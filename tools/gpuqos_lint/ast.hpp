@@ -28,8 +28,6 @@ struct FieldDecl {
   bool is_mutex = false;      // std::mutex / std::shared_mutex and friends
   bool skip_ckpt = false;     // /*ckpt:skip*/ annotation on the declaration
   bool skip_digest = false;   // /*digest:skip*/ annotation on the declaration
-  bool own_worker = false;    // /*own:worker*/ worker-local by construction
-  bool own_guarded = false;   // /*own:guarded*/ externally-disciplined access
 };
 
 struct MethodInfo {
@@ -55,8 +53,6 @@ struct LocalStatic {
   bool is_atomic = false;
   bool is_thread_local = false;
   bool is_mutex = false;
-  bool is_constexpr = false;  // constant-initialized: no init code runs
-  bool has_call_init = false;  // initializer runs code (magic-static hazard)
 };
 
 struct ParamDecl {

@@ -9,13 +9,12 @@ class Builder {
       : t_(t), begin_(begin), end_(end) {}
 
   Cfg build() {
-    cfg_.scope_parent.push_back(-1);  // scope 0: the function body
     cfg_.entry = new_block();
     cfg_.exit = new_block();
     cur_ = cfg_.entry;
     if (end_ > begin_ + 1) {
       // Skip the opening '{'; the matching '}' is the last token.
-      parse_stmts(begin_ + 1, end_ - 1, 0, nullptr);
+      parse_stmts(begin_ + 1, end_ - 1, nullptr);
     }
     edge(cur_, cfg_.exit);
     return std::move(cfg_);
@@ -39,16 +38,11 @@ class Builder {
     cfg_.blocks.emplace_back();
     return cfg_.blocks.size() - 1;
   }
-  int new_scope(int parent) {
-    cfg_.scope_parent.push_back(parent);
-    // Scope count is bounded by the function's token count.
-    return static_cast<int>(cfg_.scope_parent.size()) - 1;  /*narrow:ok*/
-  }
   void edge(std::size_t from, std::size_t to) {
     cfg_.blocks[from].succ.push_back(to);
   }
-  void add_stmt(std::size_t b, std::size_t e, int scope) {
-    if (e > b) cfg_.blocks[cur_].stmts.push_back(CfgStmt{b, e, scope});
+  void add_stmt(std::size_t b, std::size_t e) {
+    if (e > b) cfg_.blocks[cur_].stmts.push_back(CfgStmt{b, e});
   }
 
   [[nodiscard]] bool is_punct(std::size_t k, const char* p) const {
@@ -89,43 +83,40 @@ class Builder {
   }
 
   /// Statements until an unmatched '}' (not consumed) or `stop`.
-  std::size_t parse_stmts(std::size_t k, std::size_t stop, int scope,
-                          SwitchCtx* sw) {
-    while (k < stop && !is_punct(k, "}")) k = parse_stmt(k, stop, scope, sw);
+  std::size_t parse_stmts(std::size_t k, std::size_t stop, SwitchCtx* sw) {
+    while (k < stop && !is_punct(k, "}")) k = parse_stmt(k, stop, sw);
     return k;
   }
 
-  std::size_t parse_stmt(std::size_t k, std::size_t stop, int scope,
-                         SwitchCtx* sw) {
+  std::size_t parse_stmt(std::size_t k, std::size_t stop, SwitchCtx* sw) {
     if (t_[k].kind == Tok::Hash) {  // preprocessor line: skip it
       ++k;
       while (k < stop && !t_[k].starts_line) ++k;
       return k;
     }
     if (is_punct(k, ";")) return k + 1;
-    if (is_punct(k, "{")) {  // bare compound: child scope, same block flow
-      const int child = new_scope(scope);
+    if (is_punct(k, "{")) {  // bare compound: same block flow
       const std::size_t close = skip_group(k) - 1;
-      k = parse_stmts(k + 1, close, child, nullptr);
+      k = parse_stmts(k + 1, close, nullptr);
       return is_punct(k, "}") ? k + 1 : k;
     }
     if (t_[k].kind == Tok::Ident) {
       const std::string& s = t_[k].text;
-      if (s == "if") return parse_if(k, stop, scope);
-      if (s == "while") return parse_while(k, stop, scope);
-      if (s == "for") return parse_for(k, stop, scope);
-      if (s == "do") return parse_do(k, stop, scope);
-      if (s == "switch") return parse_switch(k, stop, scope);
-      if (s == "try") return parse_try(k, stop, scope);
+      if (s == "if") return parse_if(k, stop);
+      if (s == "while") return parse_while(k, stop);
+      if (s == "for") return parse_for(k, stop);
+      if (s == "do") return parse_do(k, stop);
+      if (s == "switch") return parse_switch(k, stop);
+      if (s == "try") return parse_try(k, stop);
       if (s == "return" || s == "throw") {
         const std::size_t e = skip_to_semi(k);
-        add_stmt(k, e, scope);
+        add_stmt(k, e);
         edge(cur_, cfg_.exit);
         cur_ = new_block();  // anything after is dead code
         return e;
       }
       if (s == "break" || s == "continue") {
-        add_stmt(k, k + 1, scope);
+        add_stmt(k, k + 1);
         const std::vector<std::size_t>& targets =
             s == "break" ? break_targets_ : continue_targets_;
         edge(cur_, targets.empty() ? cfg_.exit : targets.back());
@@ -147,24 +138,23 @@ class Builder {
       }
       if (s == "else") {
         // Stray else (shouldn't happen): treat its statement as plain flow.
-        return parse_stmt(k + 1, stop, scope, sw);
+        return parse_stmt(k + 1, stop, sw);
       }
     }
     const std::size_t e = skip_to_semi(k);
-    add_stmt(k, e, scope);
+    add_stmt(k, e);
     return e;
   }
 
-  /// One branch arm: a braced compound or a single statement, in a child
-  /// scope. Returns the cursor past the arm.
-  std::size_t parse_arm(std::size_t k, std::size_t stop, int scope) {
-    const int child = new_scope(scope);
+  /// One branch arm: a braced compound or a single statement. Returns the
+  /// cursor past the arm.
+  std::size_t parse_arm(std::size_t k, std::size_t stop) {
     if (is_punct(k, "{")) {
       const std::size_t close = skip_group(k) - 1;
-      k = parse_stmts(k + 1, close, child, nullptr);
+      k = parse_stmts(k + 1, close, nullptr);
       return is_punct(k, "}") ? k + 1 : k;
     }
-    return parse_stmt(k, stop, child, nullptr);
+    return parse_stmt(k, stop, nullptr);
   }
 
   /// Condition parens starting at `k` (the keyword). Sets [cb, ce) to the
@@ -182,11 +172,11 @@ class Builder {
     return past;
   }
 
-  std::size_t parse_if(std::size_t k, std::size_t stop, int scope) {
+  std::size_t parse_if(std::size_t k, std::size_t stop) {
     std::size_t cb = 0;
     std::size_t ce = 0;
     k = read_cond(k, cb, ce);
-    add_stmt(cb, ce, scope);  // the condition is evaluated here
+    add_stmt(cb, ce);  // the condition is evaluated here
     cfg_.blocks[cur_].has_cond = true;
     cfg_.blocks[cur_].cond_begin = cb;
     cfg_.blocks[cur_].cond_end = ce;
@@ -194,13 +184,13 @@ class Builder {
 
     const std::size_t then_entry = new_block();
     cur_ = then_entry;
-    k = parse_arm(k, stop, scope);
+    k = parse_arm(k, stop);
     const std::size_t then_last = cur_;
 
     if (is_ident(k, "else")) {
       const std::size_t else_entry = new_block();
       cur_ = else_entry;
-      k = parse_arm(k + 1, stop, scope);
+      k = parse_arm(k + 1, stop);
       const std::size_t else_last = cur_;
       const std::size_t merge = new_block();
       edge(head, then_entry);  // true
@@ -218,14 +208,14 @@ class Builder {
     return k;
   }
 
-  std::size_t parse_while(std::size_t k, std::size_t stop, int scope) {
+  std::size_t parse_while(std::size_t k, std::size_t stop) {
     std::size_t cb = 0;
     std::size_t ce = 0;
     k = read_cond(k, cb, ce);
     const std::size_t head = new_block();
     edge(cur_, head);
     cur_ = head;
-    add_stmt(cb, ce, scope);
+    add_stmt(cb, ce);
     cfg_.blocks[head].has_cond = true;
     cfg_.blocks[head].loop_head = true;
     cfg_.blocks[head].cond_begin = cb;
@@ -238,7 +228,7 @@ class Builder {
     break_targets_.push_back(after);
     continue_targets_.push_back(head);
     cur_ = body;
-    k = parse_arm(k, stop, scope);
+    k = parse_arm(k, stop);
     edge(cur_, head);  // back edge
     break_targets_.pop_back();
     continue_targets_.pop_back();
@@ -246,11 +236,11 @@ class Builder {
     return k;
   }
 
-  std::size_t parse_for(std::size_t k, std::size_t stop, int scope) {
+  std::size_t parse_for(std::size_t k, std::size_t stop) {
     const std::size_t open = k + 1;
     if (!is_punct(open, "(")) {  // malformed: treat as a plain statement
       const std::size_t e = skip_to_semi(k);
-      add_stmt(k, e, scope);
+      add_stmt(k, e);
       return e;
     }
     const std::size_t past = skip_group(open);
@@ -278,7 +268,6 @@ class Builder {
         }
       }
     }
-    const int child = new_scope(scope);  // loop variables live here
 
     const std::size_t head = new_block();
     const std::size_t body = new_block();
@@ -288,17 +277,17 @@ class Builder {
       // to refine on, but both continue-and-exit edges exist.
       edge(cur_, head);
       cur_ = head;
-      add_stmt(open + 1, close, child);
+      add_stmt(open + 1, close);
       edge(head, body);
       edge(head, after);
     } else {
-      if (semi1 != close) add_stmt(open + 1, semi1, child);  // init
+      if (semi1 != close) add_stmt(open + 1, semi1);  // init
       edge(cur_, head);
       cur_ = head;
       const std::size_t cb = semi1 != close ? semi1 + 1 : open + 1;
       const std::size_t ce = semi2 != close ? semi2 : close;
       if (ce > cb) {
-        add_stmt(cb, ce, child);
+        add_stmt(cb, ce);
         cfg_.blocks[head].has_cond = true;
         cfg_.blocks[head].loop_head = true;
         cfg_.blocks[head].cond_begin = cb;
@@ -312,9 +301,9 @@ class Builder {
     break_targets_.push_back(after);
     continue_targets_.push_back(head);
     cur_ = body;
-    std::size_t kk = parse_arm(past, stop, child);
+    std::size_t kk = parse_arm(past, stop);
     if (semi2 != close && close > semi2 + 1) {
-      add_stmt(semi2 + 1, close, child);  // increment, re-evaluated per trip
+      add_stmt(semi2 + 1, close);  // increment, re-evaluated per trip
     }
     edge(cur_, head);
     break_targets_.pop_back();
@@ -323,7 +312,7 @@ class Builder {
     return kk;
   }
 
-  std::size_t parse_do(std::size_t k, std::size_t stop, int scope) {
+  std::size_t parse_do(std::size_t k, std::size_t stop) {
     const std::size_t body = new_block();
     const std::size_t cond = new_block();
     const std::size_t after = new_block();
@@ -331,7 +320,7 @@ class Builder {
     break_targets_.push_back(after);
     continue_targets_.push_back(cond);
     cur_ = body;
-    k = parse_arm(k + 1, stop, scope);
+    k = parse_arm(k + 1, stop);
     edge(cur_, cond);
     break_targets_.pop_back();
     continue_targets_.pop_back();
@@ -341,7 +330,7 @@ class Builder {
       std::size_t cb = 0;
       std::size_t ce = 0;
       k = read_cond(k, cb, ce);
-      add_stmt(cb, ce, scope);
+      add_stmt(cb, ce);
       cfg_.blocks[cond].has_cond = true;
       cfg_.blocks[cond].loop_head = true;
       cfg_.blocks[cond].cond_begin = cb;
@@ -354,22 +343,21 @@ class Builder {
     return k;
   }
 
-  std::size_t parse_switch(std::size_t k, std::size_t stop, int scope) {
+  std::size_t parse_switch(std::size_t k, std::size_t stop) {
     std::size_t cb = 0;
     std::size_t ce = 0;
     k = read_cond(k, cb, ce);
-    add_stmt(cb, ce, scope);
+    add_stmt(cb, ce);
     const std::size_t head = cur_;
     const std::size_t after = new_block();
     break_targets_.push_back(after);
     SwitchCtx sw{head, false};
     if (is_punct(k, "{")) {
-      const int child = new_scope(scope);
       const std::size_t close = skip_group(k) - 1;
       // Statements before the first label are dead; a fresh block keeps them
       // out of the head's flow.
       cur_ = new_block();
-      k = parse_stmts(k + 1, close, child, &sw);
+      k = parse_stmts(k + 1, close, &sw);
       if (is_punct(k, "}")) ++k;
     }
     edge(cur_, after);
@@ -380,16 +368,15 @@ class Builder {
     return k;
   }
 
-  std::size_t parse_try(std::size_t k, std::size_t stop, int scope) {
+  std::size_t parse_try(std::size_t k, std::size_t stop) {
     // Conservative linearization: the try compound flows into each catch
     // compound in order. Must-facts from the try body may leak into the
     // handlers; the project uses try/catch sparingly enough that this stays
     // honest.
     ++k;  // 'try'
     if (is_punct(k, "{")) {
-      const int child = new_scope(scope);
       const std::size_t close = skip_group(k) - 1;
-      k = parse_stmts(k + 1, close, child, nullptr);
+      k = parse_stmts(k + 1, close, nullptr);
       if (is_punct(k, "}")) ++k;
     }
     while (is_ident(k, "catch")) {
@@ -402,9 +389,8 @@ class Builder {
       edge(before, merge);    // clean path
       cur_ = handler;
       if (is_punct(k, "{")) {
-        const int child = new_scope(scope);
         const std::size_t close = skip_group(k) - 1;
-        k = parse_stmts(k + 1, close, child, nullptr);
+        k = parse_stmts(k + 1, close, nullptr);
         if (is_punct(k, "}")) ++k;
       }
       edge(cur_, merge);
@@ -421,7 +407,6 @@ Cfg build_cfg(const std::vector<Token>& tokens, std::size_t body_begin,
               std::size_t body_end) {
   if (body_end <= body_begin || body_end > tokens.size()) {
     Cfg cfg;
-    cfg.scope_parent.push_back(-1);
     cfg.entry = 0;
     cfg.exit = 1;
     cfg.blocks.resize(2);

@@ -1,21 +1,16 @@
 // Intra-procedural control-flow graph over a function body's token range
-// (docs/ANALYSIS.md, "gpuqos-lint v3").
+// (docs/ANALYSIS.md, "gpuqos-lint").
 //
 // The builder walks the flat token stream between FunctionDef::body_begin and
 // body_end and recovers basic blocks at statement granularity: if/else,
 // while/for/do, switch/case, break/continue, return/throw, and nested brace
-// scopes. It is the substrate the flow-sensitive rules (R9-R11) run their
-// abstract interpretation on; precision follows the project house style and
-// degrades gracefully elsewhere:
+// scopes. It is the substrate the flow-sensitive narrowing-cast rule (R11)
+// runs its abstract interpretation on; precision follows the project house
+// style and degrades gracefully elsewhere:
 //   * a statement is a token range [begin, end) inside one basic block;
-//   * every statement carries the id of its enclosing lexical scope, and the
-//     scope tree is exposed so RAII lifetimes (lock guards) can be scoped
-//     without explicit release events — a guard declared in scope S is dead
-//     at any statement whose scope is not S or a descendant of S;
 //   * conditional blocks expose their condition token range and order their
 //     successors [true-edge, false-edge] so branch-sensitive transfer
-//     functions (taint sanitization by a dominating bound check) can refine
-//     per edge;
+//     functions (a range check dominating a cast) can refine per edge;
 //   * brace groups inside expressions (lambda bodies, init-lists) are kept
 //     opaque: their tokens belong to the enclosing statement and contribute
 //     no blocks. Lambdas execute on a different frame; rules that care scan
@@ -32,7 +27,6 @@ namespace gpuqos::lint {
 struct CfgStmt {
   std::size_t begin = 0;  // token range [begin, end) in the owning stream
   std::size_t end = 0;
-  int scope = 0;  // enclosing lexical scope id (index into Cfg::scope_parent)
 };
 
 struct CfgBlock {
@@ -43,7 +37,7 @@ struct CfgBlock {
   std::size_t cond_end = 0;
   bool has_cond = false;
   /// This conditional is a while/for/do loop head: its condition bounds the
-  /// trip count (an input-taint sink, unlike a plain if).
+  /// trip count, unlike a plain if.
   bool loop_head = false;
   /// Successor block ids. For has_cond blocks succ[0] is the true edge and
   /// succ[1] the false edge; switch heads list one edge per label plus the
@@ -53,19 +47,8 @@ struct CfgBlock {
 
 struct Cfg {
   std::vector<CfgBlock> blocks;
-  /// Lexical scope tree: scope_parent[s] is the enclosing scope, -1 for the
-  /// function body scope (id 0).
-  std::vector<int> scope_parent;
   std::size_t entry = 0;
   std::size_t exit = 0;  // unified exit: returns, throws, and fall-off-end
-
-  /// Whether `outer` encloses (or equals) `inner` in the scope tree.
-  [[nodiscard]] bool scope_encloses(int outer, int inner) const {
-    for (int s = inner; s >= 0; s = scope_parent[static_cast<std::size_t>(s)]) {
-      if (s == outer) return true;
-    }
-    return false;
-  }
 };
 
 /// Build the CFG for the body brace group at [body_begin, body_end) ('{'

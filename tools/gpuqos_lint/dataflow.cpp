@@ -169,10 +169,6 @@ bool type_is_float(const std::string& type) {
   return contains_word(type, "float") || contains_word(type, "double");
 }
 
-bool type_is_mutex(const std::string& type) {
-  return type.find("mutex") != std::string::npos;
-}
-
 bool type_is_ptr_keyed_ordered(const std::string& type) {
   // Find `map <` / `set <` (and multi- variants), then look for a `*` in the
   // first template argument (up to a top-level comma or the closing angle).
@@ -207,14 +203,6 @@ bool type_is_ptr_keyed_ordered(const std::string& type) {
     }
   }
   return false;
-}
-
-bool body_has_raii_lock(const SymFn& fn) {
-  static const char* kLocks[] = {"lock_guard", "scoped_lock", "unique_lock",
-                                 "shared_lock"};
-  return std::any_of(std::begin(kLocks), std::end(kLocks), [&](const char* l) {
-    return fn.def->body_idents.count(l) != 0;
-  });
 }
 
 bool line_annotated(const ParsedFile& pf, int line, const char* tag) {

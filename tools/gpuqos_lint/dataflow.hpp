@@ -1,7 +1,7 @@
-// Per-function dataflow helpers for the semantic rules (R5/R6/R7): local
-// declaration scanning, type classification, RAII-lock detection, and
-// annotation lookup. All heuristics over the flat token stream — precise
-// enough for the project's house style, over-approximate elsewhere.
+// Per-function dataflow helpers for the semantic rules (R5, R8, R11): local
+// declaration scanning, type classification, and annotation lookup. All
+// heuristics over the flat token stream — precise enough for the project's
+// house style, over-approximate elsewhere.
 #pragma once
 
 #include <map>
@@ -25,18 +25,13 @@ struct LocalVar {
 // Type-string classifiers over the parser's space-joined token strings.
 [[nodiscard]] bool type_is_unordered(const std::string& type);
 [[nodiscard]] bool type_is_float(const std::string& type);
-[[nodiscard]] bool type_is_mutex(const std::string& type);
 /// std::map / std::set (and multi- variants) keyed by a raw pointer: the
 /// iteration order is the allocator's, different run to run under ASLR.
 [[nodiscard]] bool type_is_ptr_keyed_ordered(const std::string& type);
 
-/// Whether the body constructs an RAII lock (std::lock_guard, scoped_lock,
-/// unique_lock, shared_lock).
-[[nodiscard]] bool body_has_raii_lock(const SymFn& fn);
-
 /// Whether a comment containing `tag` sits on `line` or on an own-line
 /// comment directly above it — the escape-hatch placement rule for
-/// /*det:ok: ...*/, /*cap:ok: ...*/ and /*own:...*/ annotations.
+/// /*det:ok: ...*/, /*order:ok: ...*/ and /*narrow:ok: ...*/ annotations.
 [[nodiscard]] bool line_annotated(const ParsedFile& pf, int line,
                                   const char* tag);
 

@@ -570,10 +570,6 @@ struct Parser {
         } else if ((tk.text == "=" || tk.text == "{" || tk.text == "[" ||
                     tk.text == "(") &&
                    angle == 0) {
-          // A '(' anywhere in the initializer means the static runs code
-          // when first reached (magic-static: blocking init, hidden order
-          // dependence) — recorded for the concurrency-discipline rule.
-          if (tk.text == "(") var.has_call_init = true;
           stop_flags = true;
         }
         if (!stop_flags) type_toks.push_back(tk.text);
@@ -585,10 +581,6 @@ struct Parser {
       }
       if (tk.kind != Tok::Ident || angle != 0) continue;
       if (tk.text == "const" || tk.text == "constexpr") var.is_const = true;
-      if (tk.text == "constexpr" || tk.text == "constinit" ||
-          tk.text == "consteval") {
-        var.is_constexpr = true;
-      }
       if (tk.text == "thread_local") var.is_thread_local = true;
       if (tk.text.rfind("atomic", 0) == 0) var.is_atomic = true;
       if (tk.text.find("mutex") != std::string::npos) var.is_mutex = true;
@@ -775,17 +767,14 @@ struct Parser {
     }
   }
 
-  /// /*ckpt:skip*/, /*digest:skip*/ and /*own:...*/ annotations attach to
-  /// any comment on the declaration's lines.
+  /// /*ckpt:skip*/ and /*digest:skip*/ annotations attach to any comment on
+  /// the declaration's lines.
   void annotate(FieldDecl& f, int first_line, int end_line) const {
     for (const Comment& c : out_.ts.comments) {
       if (c.line < first_line || c.line > end_line) continue;
       if (c.text.find("ckpt:skip") != std::string::npos) f.skip_ckpt = true;
       if (c.text.find("digest:skip") != std::string::npos)
         f.skip_digest = true;
-      if (c.text.find("own:worker") != std::string::npos) f.own_worker = true;
-      if (c.text.find("own:guarded") != std::string::npos)
-        f.own_guarded = true;
     }
   }
 };

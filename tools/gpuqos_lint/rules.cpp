@@ -5,20 +5,6 @@
 #include <map>
 
 namespace gpuqos::lint {
-namespace {
-
-Finding make(const char* rule, const std::string& file, int line,
-             std::string symbol, std::string message) {
-  Finding f;
-  f.rule = rule;
-  f.file = file;
-  f.line = line;
-  f.symbol = std::move(symbol);
-  f.message = std::move(message);
-  return f;
-}
-
-}  // namespace
 
 // ---- R1: state-coverage ---------------------------------------------------
 

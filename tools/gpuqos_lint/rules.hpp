@@ -1,15 +1,52 @@
 // Internal rule entry points; each appends findings for its rule family.
 #pragma once
 
+#include <algorithm>
+#include <initializer_list>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ast.hpp"
 #include "callgraph.hpp"
-#include "cfg.hpp"
 #include "lint.hpp"
 #include "symtab.hpp"
 
 namespace gpuqos::lint {
+
+// ---- helpers shared by the rule files -------------------------------------
+
+inline Finding make(const char* rule, const std::string& file, int line,
+                    std::string symbol, std::string message) {
+  return Finding{rule, file, line, std::move(symbol), std::move(message)};
+}
+
+inline bool is_one_of(const std::string& s,
+                      std::initializer_list<const char*> set) {
+  return std::any_of(set.begin(), set.end(),
+                     [&](const char* v) { return s == v; });
+}
+
+/// `Outer::Inner` -> `Inner`.
+inline std::string simple_name(const std::string& name) {
+  return name.substr(name.rfind(':') + 1);
+}
+
+/// Matching close for the punct group opened at t[open] ('(', '[', '{' or
+/// '<'), or `limit` when the group does not close before it.
+inline std::size_t match_close(const std::vector<Token>& t, std::size_t open,
+                               const char* o, const char* c,
+                               std::size_t limit) {
+  int depth = 0;
+  for (std::size_t k = open; k < limit; ++k) {
+    if (t[k].kind != Tok::Punct) continue;
+    if (t[k].text == o) ++depth;
+    if (t[k].text == c && --depth == 0) return k;
+  }
+  return limit;
+}
+
+// ---- rule families ---------------------------------------------------------
 
 /// R1: save/load/digest field coverage, cross-file (out-of-line bodies).
 void rule_state_coverage(const std::vector<const ParsedFile*>& files,
@@ -33,54 +70,13 @@ void rule_det_hazard(const Symtab& st, const CallGraph& cg,
                      const std::vector<std::string>& det_roots,
                      std::vector<Finding>& out);
 
-/// R6: write-ownership and lock discipline for code reachable from the
-/// purity roots: shared-class fields need an RAII lock in the writing
-/// function (or /*own:worker*/ / /*own:guarded*/), no bare mutex lock(),
-/// no code-running static-local initializers.
-void rule_concurrency_discipline(const Symtab& st, const CallGraph& cg,
-                                 const std::vector<std::string>& purity_roots,
-                                 std::vector<Finding>& out);
-
-/// R7: capture safety of deferred event payloads — lambdas passed to the
-/// event calls must not capture by reference or capture stack addresses.
-/// /*cap:ok: reason*/ escapes.
-void rule_event_capture(const Symtab& st,
-                        const std::vector<std::string>& event_calls,
-                        std::vector<Finding>& out);
-
-/// Per-function CFG cache shared by the flow rules (R9-R11) so each body is
-/// built once per run.
-class CfgCache {
- public:
-  CfgCache();
-  ~CfgCache();
-  [[nodiscard]] const Cfg& get(const SymFn& fn);
-
- private:
-  std::map<const FunctionDef*, Cfg> by_fn_;
-};
-
 /// R8: save/load/digest state-order symmetry — primitive write/read call
 /// sequences and field first-touch order must match pairwise.
 /// /*order:ok: reason*/ escapes.
 void rule_state_order(const Symtab& st, std::vector<Finding>& out);
 
-/// R9: flow-sensitive lock discipline — RAII lock sets over guard scopes,
-/// global acquisition-order consistency, no blocking calls under a lock,
-/// guarded-field writes outside the held region. /*lock:ok: reason*/.
-void rule_lock_discipline(const Symtab& st, CfgCache& cfgs,
-                          std::vector<Finding>& out);
-
-/// R10: untrusted-input taint — StateReader/JSON-decoded values (sources
-/// scoped by path substring) must pass a dominating bound check before
-/// allocation sizes, memcpy lengths, loop bounds, indexing. /*taint:ok*/.
-void rule_input_taint(const Symtab& st, CfgCache& cfgs,
-                      const std::vector<std::string>& taint_scopes,
-                      std::vector<Finding>& out);
-
 /// R11: narrowing static_casts of 64-bit size/cycle expressions without a
 /// dominating range check or masking idiom. /*narrow:ok: reason*/.
-void rule_narrowing_cast(const Symtab& st, CfgCache& cfgs,
-                         std::vector<Finding>& out);
+void rule_narrowing_cast(const Symtab& st, std::vector<Finding>& out);
 
 }  // namespace gpuqos::lint

@@ -1,46 +1,12 @@
-// Semantic rule families R5/R6/R7: determinism hazards, concurrency
-// discipline, and event-capture safety, all driven by the cross-TU symbol
-// table + call graph instead of per-file token scans.
+// Semantic rule family R5: determinism hazards, driven by the cross-TU
+// symbol table + call graph instead of per-file token scans.
 #include <algorithm>
-#include <set>
 
 #include "dataflow.hpp"
 #include "rules.hpp"
 
 namespace gpuqos::lint {
 namespace {
-
-Finding make(const char* rule, const std::string& file, int line,
-             std::string symbol, std::string message) {
-  Finding f;
-  f.rule = rule;
-  f.file = file;
-  f.line = line;
-  f.symbol = std::move(symbol);
-  f.message = std::move(message);
-  return f;
-}
-
-bool is_one_of(const std::string& s, std::initializer_list<const char*> set) {
-  return std::any_of(set.begin(), set.end(),
-                     [&](const char* v) { return s == v; });
-}
-
-std::string simple_name(const std::string& name) {
-  return name.substr(name.rfind(':') + 1);
-}
-
-/// Matching close for the punct group opened at t[open] ('(' or '[' or '{').
-std::size_t match_close(const std::vector<Token>& t, std::size_t open,
-                        const char* o, const char* c, std::size_t limit) {
-  int depth = 0;
-  for (std::size_t k = open; k < limit; ++k) {
-    if (t[k].kind != Tok::Punct) continue;
-    if (t[k].text == o) ++depth;
-    if (t[k].text == c && --depth == 0) return k;
-  }
-  return limit;
-}
 
 /// Resolve the type of a member chain starting at token `k` (`core`,
 /// `this->pending_`, `gmi_.rob`): follow `.`/`->` links through known
@@ -251,232 +217,6 @@ void rule_det_hazard(const Symtab& st, const CallGraph& cg,
           "container keyed by a raw pointer — iteration order differs run "
           "to run under ASLR; key by a stable id, or annotate the line "
           "/*det:ok: reason*/"));
-    }
-  }
-}
-
-// ---- R6: concurrency-discipline -------------------------------------------
-
-void rule_concurrency_discipline(const Symtab& st, const CallGraph& cg,
-                                 const std::vector<std::string>& purity_roots,
-                                 std::vector<Finding>& out) {
-  const std::vector<bool> reach = cg.reachable_from(st, purity_roots);
-
-  static const char* kMutators[] = {
-      "push_back", "emplace_back", "emplace", "insert", "erase",  "clear",
-      "pop_back",  "pop_front",    "push_front", "push", "pop",   "resize",
-      "assign",    "swap",         "reserve"};
-
-  for (std::size_t idx = 0; idx < st.fns.size(); ++idx) {
-    const SymFn& fn = st.fns[idx];
-    if (!reach[idx] || fn.def->body_end <= fn.def->body_begin) continue;
-    const ParsedFile& pf = *fn.file;
-    const std::vector<Token>& t = pf.ts.tokens;
-    const std::size_t begin = fn.def->body_begin;
-    const std::size_t end = fn.def->body_end;
-    const std::map<std::string, LocalVar> locals = scan_locals(fn);
-
-    // (a) Shared-class write ownership: a class that owns a mutex (or is
-    // annotated /*own:shared*/) declares itself concurrently accessed;
-    // every field write in its methods must hold an RAII lock in the same
-    // function, be annotated, or follow the *_locked caller-holds-the-lock
-    // naming convention. Constructors/destructors are exempt (no aliases
-    // exist yet / anymore).
-    const SymClass* cls = st.find_class(simple_name(fn.def->qual_class));
-    const bool shared_cls =
-        cls != nullptr && (cls->has_mutex || cls->own_shared) &&
-        !cls->own_worker;
-    const bool exempt_fn =
-        cls != nullptr &&
-        (fn.def->name == cls->name ||  // ctor/dtor parse to the class name
-         (fn.def->name.size() > 7 &&
-          fn.def->name.compare(fn.def->name.size() - 7, 7, "_locked") == 0));
-    if (shared_cls && !exempt_fn && !body_has_raii_lock(fn)) {
-      for (std::size_t k = begin + 1; k + 1 < end; ++k) {
-        if (t[k].kind != Tok::Ident) continue;
-        auto fit = cls->fields.find(t[k].text);
-        if (fit == cls->fields.end()) continue;
-        const FieldDecl& f = *fit->second;
-        if (f.is_atomic || f.is_const || f.is_mutex || f.own_worker ||
-            f.own_guarded) {
-          continue;
-        }
-        // Self-access only: `other.field_` writes are the caller's problem.
-        const Token* prev = k > 0 ? &t[k - 1] : nullptr;
-        if (prev != nullptr && prev->kind == Tok::Punct &&
-            (prev->text == "." || prev->text == "->") &&
-            !(k >= 2 && t[k - 2].text == "this")) {
-          continue;
-        }
-        // Write shapes: assignment/compound/inc-dec, mutating member call,
-        // or indexed assignment.
-        const Token& next = t[k + 1];
-        bool write = false;
-        if (next.kind == Tok::Punct) {
-          write = is_one_of(next.text,
-                            {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=",
-                             "^=", "<<=", ">>=", "++", "--"});
-          if (!write && (next.text == "." || next.text == "->") &&
-              k + 3 < end && t[k + 2].kind == Tok::Ident &&
-              t[k + 3].text == "(") {
-            write = std::any_of(
-                std::begin(kMutators), std::end(kMutators),
-                [&](const char* m) { return t[k + 2].text == m; });
-          }
-          if (!write && next.text == "[") {
-            const std::size_t close = match_close(t, k + 1, "[", "]", end);
-            write = close + 1 < end && t[close + 1].kind == Tok::Punct &&
-                    is_one_of(t[close + 1].text,
-                              {"=", "+=", "-=", "*=", "/=", "|=", "&=",
-                               "^=", "++", "--"});
-          }
-        }
-        if (prev != nullptr && prev->kind == Tok::Punct &&
-            (prev->text == "++" || prev->text == "--")) {
-          write = true;
-        }
-        if (!write) continue;
-        if (line_annotated(pf, t[k].line, "own:guarded")) continue;
-        out.push_back(make(
-            kRuleConcurrency, pf.path, t[k].line,
-            cls->name + "::" + f.name + "@" + fn.def->name,
-            "field '" + cls->name + "::" + f.name + "' of a shared class "
-            "written in '" + fn.def->name + "()' without an RAII lock in "
-            "the same function — pool workers race on it; take a "
-            "std::lock_guard/scoped_lock here, rename the method "
-            "*_locked if the caller holds the mutex, or annotate the "
-            "field or write /*own:guarded: reason*/ (worker-local classes: "
-            "/*own:worker*/ on the class line)"));
-      }
-    }
-
-    // (b) Bare mutex lock()/unlock(): lock lifetime must be scope-tied.
-    for (std::size_t k = begin + 1; k + 1 < end; ++k) {
-      if (t[k].kind != Tok::Ident ||
-          !is_one_of(t[k].text, {"lock", "unlock", "try_lock"})) {
-        continue;
-      }
-      if (t[k + 1].kind != Tok::Punct || t[k + 1].text != "(") continue;
-      const Token* prev = k > 0 ? &t[k - 1] : nullptr;
-      if (prev == nullptr || prev->kind != Tok::Punct ||
-          (prev->text != "." && prev->text != "->")) {
-        continue;
-      }
-      if (k < 2 || t[k - 2].kind != Tok::Ident) continue;
-      const std::string& recv = t[k - 2].text;
-      const std::string rtype = resolve_type(fn, locals, st, recv);
-      const bool mutexish =
-          type_is_mutex(rtype) ||
-          (rtype.empty() && recv.find("mutex") != std::string::npos);
-      if (!mutexish) continue;
-      out.push_back(make(
-          kRuleConcurrency, pf.path, t[k].line,
-          fn.qualified + "#bare-lock:" + recv,
-          "bare '" + recv + "." + t[k].text + "()' — an early return or "
-          "exception leaks the lock; use std::lock_guard/std::scoped_lock "
-          "(std::unique_lock for condition waits)"));
-    }
-
-    // (c) Static-local initializers that run code: the init races/blocks at
-    // first call and hides an initialization-order dependence. Mutable ones
-    // are already R2 findings; this catches the const ones. constexpr/
-    // constinit statics are constant-initialized — no code runs, exempt.
-    for (const LocalStatic& v : fn.def->local_statics) {
-      if (!v.is_const || !v.has_call_init || v.is_constexpr) continue;
-      out.push_back(make(
-          kRuleConcurrency, pf.path, v.line,
-          fn.qualified + "#static-init:" + v.name,
-          "static-local '" + v.name + "' in '" + fn.def->name + "()' runs "
-          "code in its initializer — first-call magic-static init blocks "
-          "other workers and hides order dependence; initialize from "
-          "constants, or hoist to a namespace-scope constant"));
-    }
-  }
-}
-
-// ---- R7: event-capture ----------------------------------------------------
-
-void rule_event_capture(const Symtab& st,
-                        const std::vector<std::string>& event_calls,
-                        std::vector<Finding>& out) {
-  const std::string kWhy =
-      " — the payload outlives this frame inside the engine queue "
-      "(dangling-callback hazard); capture by value / std::move, or "
-      "annotate the lambda line /*cap:ok: reason*/ if the referent is "
-      "rooted in a module that outlives the event";
-
-  for (const SymFn& fn : st.fns) {
-    if (fn.def->body_end <= fn.def->body_begin) continue;
-    const ParsedFile& pf = *fn.file;
-    const std::vector<Token>& t = pf.ts.tokens;
-    const std::size_t end = fn.def->body_end;
-    for (std::size_t k = fn.def->body_begin + 1; k + 1 < end; ++k) {
-      if (t[k].kind != Tok::Ident) continue;
-      if (std::none_of(event_calls.begin(), event_calls.end(),
-                       [&](const std::string& c) { return t[k].text == c; })) {
-        continue;
-      }
-      if (t[k + 1].kind != Tok::Punct || t[k + 1].text != "(") continue;
-      const std::string& call = t[k].text;
-      const std::size_t close = match_close(t, k + 1, "(", ")", end);
-      for (std::size_t j = k + 2; j < close; ++j) {
-        if (t[j].kind != Tok::Punct || t[j].text != "[") continue;
-        const Token& before = t[j - 1];
-        const bool lambda_intro =
-            before.kind == Tok::Punct &&
-            (before.text == "(" || before.text == ",");
-        if (!lambda_intro) continue;
-        const std::size_t cap_close = match_close(t, j, "[", "]", close + 1);
-        const int lam_line = t[j].line;
-        if (line_annotated(pf, lam_line, "cap:ok")) {
-          j = cap_close;
-          continue;
-        }
-        // Split the capture list on top-level commas.
-        std::vector<std::vector<std::size_t>> caps(1);
-        int depth = 0;
-        for (std::size_t c = j + 1; c < cap_close; ++c) {
-          if (t[c].kind == Tok::Punct) {
-            if (t[c].text == "(" || t[c].text == "[" || t[c].text == "{") {
-              ++depth;
-            } else if (t[c].text == ")" || t[c].text == "]" ||
-                       t[c].text == "}") {
-              --depth;
-            } else if (t[c].text == "," && depth == 0) {
-              caps.emplace_back();
-              continue;
-            }
-          }
-          caps.back().push_back(c);
-        }
-        for (const auto& cap : caps) {
-          if (cap.empty()) continue;
-          const Token& c0 = t[cap[0]];
-          auto emit = [&](const std::string& what, const std::string& msg) {
-            out.push_back(make(kRuleEventCapture, pf.path, lam_line,
-                               fn.qualified + "#capture:" + what,
-                               msg + kWhy));
-          };
-          if (c0.kind == Tok::Punct && c0.text == "&") {
-            if (cap.size() == 1) {
-              emit("&", "lambda posted to '" + call + "()' captures "
-                        "everything by reference ([&])");
-            } else if (t[cap[1]].kind == Tok::Ident) {
-              emit(t[cap[1]].text,
-                   "lambda posted to '" + call + "()' captures '" +
-                       t[cap[1]].text + "' by reference");
-            }
-            continue;
-          }
-          if (c0.kind == Tok::Ident && c0.text != "this" && cap.size() >= 3 &&
-              t[cap[1]].kind == Tok::Punct && t[cap[1]].text == "=" &&
-              t[cap[2]].kind == Tok::Punct && t[cap[2]].text == "&") {
-            emit(c0.text, "lambda posted to '" + call + "()' init-captures "
-                          "'" + c0.text + "' as the address of an object");
-          }
-        }
-        j = cap_close;
-      }
     }
   }
 }

@@ -17,14 +17,6 @@ bool is_cv_word(const std::string& s) {
          s == "class" || s == "union" || s == "enum";
 }
 
-bool class_line_annotated(const ParsedFile& pf, int line, const char* tag) {
-  for (const Comment& c : pf.ts.comments) {
-    if (c.line != line && !(c.own_line && c.line == line - 1)) continue;
-    if (c.text.find(tag) != std::string::npos) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 std::string Symtab::type_class(const std::string& type) {
@@ -60,22 +52,13 @@ Symtab build_symtab(const std::vector<const ParsedFile*>& files) {
         sc.decl = &c;
         sc.file = pf;
       }
-      for (const FieldDecl& f : c.fields) {
-        sc.fields.emplace(f.name, &f);
-        if (f.is_mutex) sc.has_mutex = true;
-      }
+      for (const FieldDecl& f : c.fields) sc.fields.emplace(f.name, &f);
       static const char* kDetMethods[] = {"tick", "digest", "save", "load"};
       for (const char* m : kDetMethods) {
         auto it = c.methods.find(m);
         if (it != c.methods.end() && it->second.declared) {
           sc.has_det_method = true;
         }
-      }
-      if (class_line_annotated(*pf, c.line, "own:worker")) {
-        sc.own_worker = true;
-      }
-      if (class_line_annotated(*pf, c.line, "own:shared")) {
-        sc.own_shared = true;
       }
     }
     for (const FunctionDef& fn : pf->functions) {

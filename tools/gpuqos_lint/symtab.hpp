@@ -21,10 +21,6 @@ struct SymClass {
   const ClassDecl* decl = nullptr;  // first declaration seen
   const ParsedFile* file = nullptr;
   std::map<std::string, const FieldDecl*> fields;  // non-static data members
-  bool has_mutex = false;   // declares a mutex member: shared by design
-  bool own_worker = false;  // class-level /*own:worker*/ on the class line
-  bool own_shared = false;  // class-level /*own:shared*/ (no mutex member
-                            // but still accessed concurrently)
   bool has_det_method = false;  // declares tick/digest/save/load
 };
 
