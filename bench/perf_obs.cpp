@@ -1,17 +1,13 @@
 // Observability performance harness (docs/OBSERVABILITY.md §perf,
-// docs/PERFORMANCE.md). Three sections, written as BENCH_obs.json and
+// docs/PERFORMANCE.md). Two sections, written as BENCH_obs.json and
 // summarized on stdout:
 //
 //   1. overhead — the same M8 ThrotCPUprio run timed with observability off
-//      and with everything on (sampler, journal, trace, histograms, profiler
-//      with periodic flushes). Best of three reps each; the headline number
-//      is the percentage slowdown of the fully instrumented run. The CI
-//      perf-smoke gate fails the build when it exceeds --max-overhead-pct.
-//   2. binlog_vs_jsonl — the binary telemetry stream (obs/binlog.hpp)
-//      against the native JSONL writers on the section-1 capture: encoded
-//      size ratio, encode-time ratio, and a decode_matches flag asserting
-//      obs_cat's JSONL/trace reconstruction is byte-identical.
-//   3. pool_merge — per-worker profilers through run_many(), merged at join;
+//      and with everything on (sampler, journal, trace, histograms,
+//      profiler). Best of three reps each; the headline number is the
+//      percentage slowdown of the fully instrumented run. The CI perf-smoke
+//      gate fails the build when it exceeds --max-overhead-pct.
+//   2. pool_merge — per-worker profilers through run_many(), merged at join;
 //      checks the merged attribution equals the per-job sums.
 //
 // GPUQOS_FAST=1 shrinks every budget for CI smoke runs. Usage:
@@ -24,14 +20,11 @@
 #include <fstream>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
 #include "common/jsonio.hpp"
-#include "obs/binlog.hpp"
-#include "obs/counters.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
@@ -53,7 +46,6 @@ TelemetryOptions full_options(Cycle sample_interval) {
   topts.capture_histograms = true;
   topts.capture_log = true;
   topts.capture_profile = true;
-  topts.prof_flush_interval = sample_interval * 10;
   return topts;
 }
 
@@ -74,7 +66,7 @@ int main(int argc, char** argv) {
   double max_overhead_pct = 0.0;  // 0 = report only, no gate
 
   cli::OptionSet opts("[--out BENCH_obs.json] [--max-overhead-pct PCT]",
-                      "observability overhead + binlog harness "
+                      "observability overhead harness "
                       "(docs/OBSERVABILITY.md)");
   opts.str("--out", "FILE", "benchmark report destination", &out);
   opts.f64("--max-overhead-pct", "PCT",
@@ -105,82 +97,15 @@ int main(int argc, char** argv) {
   double off_s = 1e30;
   for (int i = 0; i < reps; ++i) off_s = std::min(off_s, time_run(scale, nullptr));
   double on_s = 1e30;
-  std::unique_ptr<Telemetry> kept;  // last instrumented capture, for §2
   for (int i = 0; i < reps; ++i) {
     auto telemetry = std::make_unique<Telemetry>(full_options(sample_interval));
     on_s = std::min(on_s, time_run(scale, telemetry.get()));
-    kept = std::move(telemetry);
   }
   const double overhead_pct = off_s > 0 ? (on_s - off_s) / off_s * 100.0 : 0.0;
   std::printf("  off %.3fs, full telemetry %.3fs -> overhead %.2f%%\n", off_s,
               on_s, overhead_pct);
 
-  // --- 2. Binlog vs JSONL on the section-1 capture.
-  const SimConfig cfg = Presets::scaled();
-  const ActivityCounterBank bank = ActivityCounterBank::for_config(cfg);
-
-  std::string jsonl_samples, jsonl_journal, jsonl_trace;
-  double jsonl_s = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::ostringstream ss, js, ts;
-    kept->sampler().write_jsonl(ss);
-    kept->journal().write_jsonl(js);
-    kept->trace().write(ts);
-    jsonl_s = std::min(jsonl_s, seconds_since(t0));
-    jsonl_samples = ss.str();
-    jsonl_journal = js.str();
-    jsonl_trace = ts.str();
-  }
-  const std::size_t jsonl_bytes =
-      jsonl_samples.size() + jsonl_journal.size() + jsonl_trace.size();
-
-  std::vector<std::uint8_t> bin;
-  double bin_s = 1e30;
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    BinLogWriter w;
-    kept->sampler().write_binlog(w);
-    kept->journal().write_binlog(w);
-    kept->trace().write_binlog(w);
-    kept->profiler()->write_binlog(w);
-    bank.write_binlog(w, kept->counters());
-    bin_s = std::min(bin_s, seconds_since(t0));
-    bin = w.bytes();
-  }
-
-  bool decode_matches = false;
-  try {
-    std::ostringstream ss, js, ts;
-    {
-      BinLogReader r(bin);
-      binlog_to_jsonl(r, "samples", ss);
-    }
-    {
-      BinLogReader r(bin);
-      binlog_to_jsonl(r, "journal", js);
-    }
-    {
-      BinLogReader r(bin);
-      binlog_to_chrome_trace(r, ts);
-    }
-    decode_matches = ss.str() == jsonl_samples && js.str() == jsonl_journal &&
-                     ts.str() == jsonl_trace;
-  } catch (const BinLogError& e) {
-    std::fprintf(stderr, "binlog decode failed: %s\n", e.what());
-  }
-  const double size_ratio =
-      bin.empty() ? 0.0
-                  : static_cast<double>(jsonl_bytes) /
-                        static_cast<double>(bin.size());
-  const double encode_ratio = bin_s > 0 ? jsonl_s / bin_s : 0.0;
-  std::printf(
-      "binlog vs jsonl: %zu vs %zu bytes (%.2fx smaller), encode %.1fus vs "
-      "%.1fus (%.2fx faster), decode %s\n",
-      bin.size(), jsonl_bytes, size_ratio, bin_s * 1e6, jsonl_s * 1e6,
-      encode_ratio, decode_matches ? "byte-identical" : "MISMATCH");
-
-  // --- 3. Per-worker profilers merged at join.
+  // --- 2. Per-worker profilers merged at join.
   RunScale tiny;
   tiny.warm_instrs = 20'000;
   tiny.measure_instrs = 50'000;
@@ -246,14 +171,6 @@ int main(int argc, char** argv) {
      << "\"reps\": " << reps << ", \"off_seconds\": " << json_double(off_s)
      << ", \"full_seconds\": " << json_double(on_s)
      << ", \"overhead_pct\": " << json_double(overhead_pct) << "},\n";
-  os << "  \"binlog_vs_jsonl\": {\"binlog_bytes\": " << bin.size()
-     << ", \"jsonl_bytes\": " << jsonl_bytes
-     << ", \"size_ratio\": " << json_double(size_ratio)
-     << ", \"binlog_encode_seconds\": " << json_double(bin_s)
-     << ", \"jsonl_encode_seconds\": " << json_double(jsonl_s)
-     << ", \"encode_ratio\": " << json_double(encode_ratio)
-     << ", \"decode_matches\": " << (decode_matches ? "true" : "false")
-     << "},\n";
   os << "  \"pool_merge\": {\"jobs\": " << pool_jobs
      << ", \"consistent\": " << (merge_ok ? "true" : "false") << "}\n}\n";
   os.flush();
@@ -263,7 +180,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\nwrote %s\n", out.c_str());
 
-  if (!decode_matches || !merge_ok) return 1;
+  if (!merge_ok) return 1;
   if (max_overhead_pct > 0 && overhead_pct > max_overhead_pct) {
     std::fprintf(stderr,
                  "observability overhead %.2f%% exceeds the %.2f%% gate\n",

@@ -26,7 +26,6 @@
 #include "check/context.hpp"
 #include "ckpt/state_io.hpp"
 #include "common/cli.hpp"
-#include "obs/binlog.hpp"
 #include "obs/counters.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/metrics.hpp"
@@ -60,9 +59,8 @@ bool write_file(const std::string& path, Emit emit) {
 
 int main(int argc, char** argv) {
   std::string trace_out, stats_json_out, samples_out, journal_out;
-  std::string prof_out, counters_out, binlog_out;
+  std::string prof_out, counters_out;
   std::string digest_out, ckpt_out, resume_path;
-  std::uint64_t prof_flush_interval = 0;
   std::uint64_t sample_interval = 0;
   std::uint64_t check_interval = 0;
   std::uint64_t digest_interval = 0;
@@ -83,21 +81,16 @@ int main(int argc, char** argv) {
   opts.u64("--sample-interval", "CYCLES",
            "interval sampler period in base cycles", &sample_interval);
   opts.str("--samples-out", "FILE",
-           "sampler time-series (.jsonl, default samples.jsonl)", &samples_out);
+           "sampler time-series (.jsonl, default samples.jsonl; needs "
+           "--sample-interval)", &samples_out);
   opts.str("--journal-out", "FILE",
            "QoS decision journal (.jsonl, default qos_journal.jsonl)",
            &journal_out);
   opts.str("--prof-out", "FILE",
            "host-time attribution profile (JSON; table also printed)",
            &prof_out);
-  opts.u64("--prof-flush-interval", "CYCLES",
-           "periodic profiler snapshot period in base cycles "
-           "(implies --prof-out profiling)", &prof_flush_interval);
   opts.str("--counters-out", "FILE",
            "activity-counter export (JSON, stable schema)", &counters_out);
-  opts.str("--binlog", "FILE",
-           "binary telemetry stream with every enabled sink "
-           "(decode with tools/obs_cat)", &binlog_out);
   opts.flag("--check", "run the invariant auditors during the simulation",
             &want_check);
   opts.u64("--check-interval", "CYCLES",
@@ -125,11 +118,16 @@ int main(int argc, char** argv) {
   std::vector<const char*> positional;
   opts.parse(argc, argv, positional);
 
-  const bool want_profile = !prof_out.empty() || prof_flush_interval > 0;
+  // Without an interval the sampler never ticks, so --samples-out alone
+  // would write an empty series; refuse it before anything simulates.
+  if (!samples_out.empty() && sample_interval == 0) {
+    std::fprintf(stderr, "--samples-out needs --sample-interval\n");
+    return 2;
+  }
+  const bool want_profile = !prof_out.empty();
   const bool want_telemetry = !trace_out.empty() || !stats_json_out.empty() ||
-                              sample_interval > 0 || !samples_out.empty() ||
-                              !journal_out.empty() || want_profile ||
-                              !counters_out.empty() || !binlog_out.empty();
+                              sample_interval > 0 || !journal_out.empty() ||
+                              want_profile || !counters_out.empty();
   if (sample_interval > 0 && samples_out.empty()) samples_out = "samples.jsonl";
   if (want_telemetry && journal_out.empty()) journal_out = "qos_journal.jsonl";
   if (check_interval > 0) want_check = true;
@@ -176,7 +174,6 @@ int main(int argc, char** argv) {
     topts.sample_interval = sample_interval;
     topts.capture_trace = !trace_out.empty();
     topts.capture_profile = want_profile;
-    topts.prof_flush_interval = prof_flush_interval;
     telemetry = std::make_unique<Telemetry>(topts);
   }
 
@@ -320,8 +317,7 @@ int main(int argc, char** argv) {
           write_file(prof_out, [&](std::ostream& os) {
             os << prof->to_json() << "\n";
           })) {
-        std::printf("  profile        %s (%zu flushes)\n", prof_out.c_str(),
-                    prof->flushes().size());
+        std::printf("  profile        %s\n", prof_out.c_str());
       }
       std::printf("\n%s", prof->table().c_str());
     }
@@ -332,29 +328,6 @@ int main(int argc, char** argv) {
           })) {
         std::printf("  counters       %s (%zu events)\n", counters_out.c_str(),
                     bank.catalog().size());
-      }
-    }
-    if (!binlog_out.empty()) {
-      BinLogWriter w;
-      if (sample_interval > 0) telemetry->sampler().write_binlog(w);
-      if (telemetry->options().capture_journal) {
-        telemetry->journal().write_binlog(w);
-      }
-      if (telemetry->options().capture_trace) {
-        telemetry->trace().write_binlog(w);
-      }
-      if (const Profiler* prof = telemetry->profiler()) {
-        prof->write_binlog(w);
-      }
-      ActivityCounterBank::for_config(cfg).write_binlog(w,
-                                                        telemetry->counters());
-      if (w.write_file(binlog_out)) {
-        std::printf("  binlog         %s (%zu rows, %zu bytes)\n",
-                    binlog_out.c_str(), w.rows(), w.bytes().size());
-      } else {
-        // BinLogWriter::write_file logged the cause (open vs short write)
-        // via GPUQOS_LOG, which is off by default — keep the CLI loud.
-        std::fprintf(stderr, "cannot write %s\n", binlog_out.c_str());
       }
     }
     // Fig.-8-style prediction-error report straight from the journal: it must

@@ -4,7 +4,6 @@
 
 #include "common/config.hpp"
 #include "common/jsonio.hpp"
-#include "obs/binlog.hpp"
 
 namespace gpuqos {
 
@@ -32,42 +31,19 @@ ActivityCounterBank::ActivityCounterBank(unsigned cpu_cores,
   add("qos", "atu_token_denials");
   for (unsigned i = 0; i < cpu_cores; ++i) {
     const std::string core = "cpu" + std::to_string(i);
-    catalog_.push_back({core + ".committed_instrs", core, "committed_instrs"});
-    catalog_.push_back({core + ".llc_reads", core, "llc_reads"});
-    catalog_.push_back({core + ".llc_writes", core, "llc_writes"});
+    add(core, "committed_instrs");
+    add(core, "llc_reads");
+    add(core, "llc_writes");
   }
 }
 
 void ActivityCounterBank::add(const std::string& module,
                               const std::string& event) {
-  catalog_.push_back({module + "." + event, module, event});
+  catalog_.push_back({module + "." + event});
 }
 
 ActivityCounterBank ActivityCounterBank::for_config(const SimConfig& cfg) {
   return ActivityCounterBank(cfg.cpu_cores, cfg.dram.channels);
-}
-
-std::string ActivityCounterBank::schema_json() const {
-  std::ostringstream os;
-  os << "{\"schema_version\":1,\"modules\":{";
-  bool first_module = true;
-  std::string cur;
-  for (const ActivityCounter& c : catalog_) {
-    if (c.module != cur) {
-      if (!cur.empty()) os << "],";
-      os << (first_module ? "" : "") << "\"" << json_escape(c.module)
-         << "\":[";
-      first_module = false;
-      cur = c.module;
-    } else {
-      os << ",";
-    }
-    os << "{\"event\":\"" << json_escape(c.event) << "\",\"stat\":\""
-       << json_escape(c.stat) << "\"}";
-  }
-  if (!cur.empty()) os << "]";
-  os << "}}";
-  return os.str();
 }
 
 std::string ActivityCounterBank::values_json(
@@ -83,25 +59,6 @@ std::string ActivityCounterBank::values_json(
   }
   os << "}}";
   return os.str();
-}
-
-void ActivityCounterBank::write_binlog(
-    BinLogWriter& w,
-    const std::map<std::string, std::uint64_t>& counters) const {
-  const std::uint32_t id =
-      w.define_stream("counters", {{"stat", BinField::Str},
-                                   {"module", BinField::Str},
-                                   {"event", BinField::Str},
-                                   {"value", BinField::U64}});
-  for (const ActivityCounter& c : catalog_) {
-    auto it = counters.find(c.stat);
-    w.begin_row(id);
-    w.str(c.stat);
-    w.str(c.module);
-    w.str(c.event);
-    w.u64(it == counters.end() ? 0 : it->second);
-    w.end_row();
-  }
 }
 
 }  // namespace gpuqos

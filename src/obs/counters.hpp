@@ -1,9 +1,9 @@
 // ActivityCounterBank: the stable catalog of hardware-style activity events.
 //
-// The future power-proxy model (ROADMAP item 2, after Dev et al. / Gupta et
-// al.) consumes per-module event rates: DRAM ACT/PRE/RD/WR per channel, LLC
-// lookups/fills/writebacks, MSHR allocations, ring hops, GPU fragments and
-// tiles retired, ATU token grants/denials, committed instructions per core.
+// The catalog covers per-module event counts: DRAM ACT/PRE/RD/WR per
+// channel, LLC lookups/fills/writebacks, MSHR allocations, ring hops, GPU
+// fragments and tiles retired, ATU token grants/denials, committed
+// instructions per core.
 // The counters themselves live in the run's StatRegistry — modules register
 // and bump them *unconditionally* (they are architectural activity, so the
 // determinism digest must not depend on whether observability is enabled).
@@ -20,13 +20,10 @@
 
 namespace gpuqos {
 
-class BinLogWriter;
 struct SimConfig;
 
 struct ActivityCounter {
-  std::string stat;    // StatRegistry key, e.g. "dram.ch0.act"
-  std::string module;  // catalog group, e.g. "dram"
-  std::string event;   // event name within the group, e.g. "ch0.act"
+  std::string stat;  // StatRegistry key, e.g. "dram.ch0.act"
 };
 
 class ActivityCounterBank {
@@ -42,21 +39,11 @@ class ActivityCounterBank {
     return catalog_;
   }
 
-  /// Schema only (no values): {"schema_version":1,"modules":{"dram":
-  /// [{"event":"ch0.act","stat":"dram.ch0.act"},...],...}}.
-  [[nodiscard]] std::string schema_json() const;
-
-  /// Schema + values resolved from a counter snapshot (StatRegistry::
-  /// counters() or a Telemetry counter snapshot); absent keys render as 0:
+  /// Values resolved from a counter snapshot (StatRegistry::counters() or a
+  /// Telemetry counter snapshot), in catalog order; absent keys render as 0:
   /// {"schema_version":1,"counters":{"cpu0.committed_instrs":N,...}}.
   [[nodiscard]] std::string values_json(
       const std::map<std::string, std::uint64_t>& counters) const;
-
-  /// One "counters" binlog row per catalog entry (stat, module, event,
-  /// value), absent keys as 0.
-  void write_binlog(BinLogWriter& w,
-                    const std::map<std::string, std::uint64_t>& counters)
-      const;
 
  private:
   void add(const std::string& module, const std::string& event);

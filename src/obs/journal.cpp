@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "common/jsonio.hpp"
-#include "obs/binlog.hpp"
 
 namespace gpuqos {
 
@@ -119,112 +118,6 @@ void QosJournal::write_jsonl(std::ostream& os) const {
       case Kind::Mark:
         os << "{\"type\":\"mark\",\"gpu_cycle\":" << e.gpu_cycle
            << ",\"label\":\"" << json_escape(e.label) << "\"}\n";
-        break;
-    }
-  }
-}
-
-void QosJournal::write_binlog(BinLogWriter& w) const {
-  // One stream per entry kind (rows of a stream share one schema); the
-  // literal "type" field makes a generically decoded row match the
-  // write_jsonl line. Streams are defined lazily so an empty kind adds no
-  // schema record, and rows land in file order = chronological order.
-  std::uint32_t prediction_id = 0, wg_id = 0, prio_id = 0, relearn_id = 0,
-                mark_id = 0;
-  bool have_prediction = false, have_wg = false, have_prio = false,
-       have_relearn = false, have_mark = false;
-  for (const Entry& e : entries_) {
-    switch (e.kind) {
-      case Kind::Prediction:
-        if (!have_prediction) {
-          prediction_id = w.define_stream(
-              "journal.prediction", {{"type", BinField::Str},
-                                     {"gpu_cycle", BinField::U64},
-                                     {"frame", BinField::U64},
-                                     {"predicted", BinField::F64},
-                                     {"actual", BinField::F64},
-                                     {"err_pct", BinField::F64}});
-          have_prediction = true;
-        }
-        w.begin_row(prediction_id);
-        w.str("prediction");
-        w.u64(e.gpu_cycle);
-        w.u64(e.frame);
-        w.f64(e.predicted);
-        w.f64(e.actual);
-        w.f64(e.actual > 0 ? (e.predicted - e.actual) / e.actual * 100.0
-                           : 0.0);
-        w.end_row();
-        break;
-      case Kind::WgChange:
-        if (!have_wg) {
-          wg_id = w.define_stream("journal.wg",
-                                  {{"type", BinField::Str},
-                                   {"gpu_cycle", BinField::U64},
-                                   {"prev_wg", BinField::U64},
-                                   {"wg", BinField::U64},
-                                   {"ng", BinField::U64},
-                                   {"cp", BinField::F64},
-                                   {"ct", BinField::F64},
-                                   {"a", BinField::U64}});
-          have_wg = true;
-        }
-        w.begin_row(wg_id);
-        w.str("wg");
-        w.u64(e.gpu_cycle);
-        w.u64(e.prev_wg);
-        w.u64(e.wg);
-        w.u64(e.ng);
-        w.f64(e.cp);
-        w.f64(e.ct);
-        w.u64(e.accesses);
-        w.end_row();
-        break;
-      case Kind::PrioFlip:
-        if (!have_prio) {
-          prio_id = w.define_stream("journal.cpu_prio",
-                                    {{"type", BinField::Str},
-                                     {"gpu_cycle", BinField::U64},
-                                     {"on", BinField::Bool},
-                                     {"cp", BinField::F64},
-                                     {"ct", BinField::F64}});
-          have_prio = true;
-        }
-        w.begin_row(prio_id);
-        w.str("cpu_prio");
-        w.u64(e.gpu_cycle);
-        w.boolean(e.prio_on);
-        w.f64(e.cp);
-        w.f64(e.ct);
-        w.end_row();
-        break;
-      case Kind::Relearn:
-        if (!have_relearn) {
-          relearn_id = w.define_stream("journal.relearn",
-                                       {{"type", BinField::Str},
-                                        {"gpu_cycle", BinField::U64},
-                                        {"total", BinField::U64}});
-          have_relearn = true;
-        }
-        w.begin_row(relearn_id);
-        w.str("relearn");
-        w.u64(e.gpu_cycle);
-        w.u64(e.accesses);
-        w.end_row();
-        break;
-      case Kind::Mark:
-        if (!have_mark) {
-          mark_id = w.define_stream("journal.mark",
-                                    {{"type", BinField::Str},
-                                     {"gpu_cycle", BinField::U64},
-                                     {"label", BinField::Str}});
-          have_mark = true;
-        }
-        w.begin_row(mark_id);
-        w.str("mark");
-        w.u64(e.gpu_cycle);
-        w.str(e.label);
-        w.end_row();
         break;
     }
   }

@@ -17,8 +17,6 @@
 
 namespace gpuqos {
 
-class BinLogWriter;
-
 class QosJournal {
  public:
   enum class Kind { Prediction, WgChange, PrioFlip, Relearn, Mark };
@@ -64,12 +62,6 @@ class QosJournal {
   /// One JSON object per line, e.g.
   /// {"type":"wg","gpu_cycle":N,"prev_wg":0,"wg":2,"cp":...,"ct":...,"a":N}
   void write_jsonl(std::ostream& os) const;
-
-  /// Append the entries to per-kind "journal.*" binlog streams
-  /// (obs/binlog.hpp), in chronological order; each row carries the same
-  /// fields as its write_jsonl line, so `obs_cat --stream journal` decodes
-  /// to byte-identical JSONL.
-  void write_binlog(BinLogWriter& w) const;
 
  private:
   std::vector<Entry> entries_;

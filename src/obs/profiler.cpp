@@ -1,11 +1,11 @@
 #include "obs/profiler.hpp"
 
+#include <array>
 #include <iomanip>
 #include <sstream>
 
 #include "check/check.hpp"
 #include "common/jsonio.hpp"
-#include "obs/binlog.hpp"
 
 namespace gpuqos {
 
@@ -73,20 +73,6 @@ void Profiler::leave() {
   if (depth_ > 0) stack_[depth_ - 1].child += elapsed;
 }
 
-void Profiler::flush(Cycle now) {
-  FlushRecord rec;
-  rec.cycle = now;
-  for (int m = 0; m < kNumProfModules; ++m) {
-    std::uint64_t cum = 0;
-    for (int p = 0; p < kNumProfPhases; ++p) {
-      cum += slot(static_cast<ProfPhase>(p), static_cast<ProfModule>(m))
-                 .self_ticks;
-    }
-    rec.self_ticks[static_cast<std::size_t>(m)] = cum;
-  }
-  flushes_.push_back(rec);
-}
-
 void Profiler::merge(const Profiler& other) {
   for (int p = 0; p < kNumProfPhases; ++p) {
     for (int m = 0; m < kNumProfModules; ++m) {
@@ -98,8 +84,6 @@ void Profiler::merge(const Profiler& other) {
   if (other.running_) other_ticks += now_ticks() - other.run_start_ticks_;
   run_ticks_ += other_ticks;
   wall_seconds_ += other.wall_seconds_;
-  flushes_.insert(flushes_.end(), other.flushes_.begin(),
-                  other.flushes_.end());
 }
 
 std::uint64_t Profiler::total_ticks() const {
@@ -198,49 +182,8 @@ std::string Profiler::to_json() const {
     }
     os << "}";
   }
-  os << "},\"engine_residual_ticks\":" << residual_ticks()
-     << ",\"flushes\":" << flushes_.size() << "}";
+  os << "},\"engine_residual_ticks\":" << residual_ticks() << "}";
   return os.str();
-}
-
-void Profiler::write_binlog(BinLogWriter& w) const {
-  const std::uint32_t prof_id =
-      w.define_stream("prof", {{"phase", BinField::Str},
-                               {"module", BinField::Str},
-                               {"self_ticks", BinField::U64},
-                               {"entries", BinField::U64}});
-  for (int p = 0; p < kNumProfPhases; ++p) {
-    for (int m = 0; m < kNumProfModules; ++m) {
-      if (m == static_cast<int>(ProfModule::Engine)) continue;
-      const Slot s =
-          slot(static_cast<ProfPhase>(p), static_cast<ProfModule>(m));
-      if (s.entries == 0 && s.self_ticks == 0) continue;
-      w.begin_row(prof_id);
-      w.str(to_string(static_cast<ProfPhase>(p)));
-      w.str(to_string(static_cast<ProfModule>(m)));
-      w.u64(s.self_ticks);
-      w.u64(s.entries);
-      w.end_row();
-    }
-  }
-  if (!flushes_.empty()) {
-    const std::uint32_t flush_id = w.define_stream(
-        "prof.flush",
-        {{"cycle", BinField::U64}, {"self_ticks", BinField::KvU64}});
-    for (const FlushRecord& rec : flushes_) {
-      std::map<std::string, std::uint64_t> kv;
-      for (int m = 0; m < kNumProfModules; ++m) {
-        if (m == static_cast<int>(ProfModule::Engine)) continue;
-        if (rec.self_ticks[static_cast<std::size_t>(m)] == 0) continue;
-        kv[to_string(static_cast<ProfModule>(m))] =
-            rec.self_ticks[static_cast<std::size_t>(m)];
-      }
-      w.begin_row(flush_id);
-      w.u64(rec.cycle);
-      w.kv_u64(kv);
-      w.end_row();
-    }
-  }
 }
 
 }  // namespace gpuqos

@@ -25,21 +25,15 @@
 // with merge() at join.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "common/types.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
 #endif
 
 namespace gpuqos {
-
-class BinLogWriter;
 
 /// Modules host time is attributed to. `Engine` is the residual (dispatch,
 /// timing wheel, anything not inside a scope) and never used in a ProfScope.
@@ -87,14 +81,6 @@ class Profiler {
     std::uint64_t entries = 0;
   };
 
-  /// One periodic flush record: cumulative per-module self ticks (both
-  /// phases combined) at a simulated cycle, for coarse time-sliced
-  /// attribution of long runs.
-  struct FlushRecord {
-    Cycle cycle = 0;
-    std::array<std::uint64_t, kNumProfModules> self_ticks{};
-  };
-
   /// Open the run window (idempotent; the first call wins).
   void start();
   /// Close the run window and calibrate ticks -> seconds (idempotent).
@@ -112,13 +98,8 @@ class Profiler {
   void enter(ProfModule m, std::uint32_t scale = 1);
   void leave();
 
-  /// Record a cumulative snapshot of per-module self ticks (periodic flush;
-  /// wired as an engine ticker by HeteroCmp::attach_telemetry).
-  void flush(Cycle now);
-
   /// Fold another profiler's attribution into this one (run_many() workers
-  /// profile into per-job instances merged at join). Flush records are
-  /// concatenated; run windows add up.
+  /// profile into per-job instances merged at join). Run windows add up.
   void merge(const Profiler& other);
 
   /// Attribution for one phase x module.
@@ -133,9 +114,6 @@ class Profiler {
   /// sampled extrapolation overshoots the run window.
   [[nodiscard]] std::int64_t residual_ticks() const;
   [[nodiscard]] double wall_seconds() const;
-  [[nodiscard]] const std::vector<FlushRecord>& flushes() const {
-    return flushes_;
-  }
 
   /// Human-readable end-of-run attribution table (docs/OBSERVABILITY.md):
   /// one row per module incl. the signed "engine" residual, per-phase and
@@ -144,10 +122,6 @@ class Profiler {
 
   /// {"total_ticks":N,"wall_seconds":S,"modules":{"llc":{"warm":{...},...}}}
   [[nodiscard]] std::string to_json() const;
-
-  /// Append "prof" (per phase x module) and "prof.flush" streams to a
-  /// binlog (obs/binlog.hpp).
-  void write_binlog(BinLogWriter& w) const;
 
  private:
   static constexpr int kMaxDepth = 16;
@@ -170,9 +144,6 @@ class Profiler {
   std::uint64_t run_ticks_ = 0;  // closed windows (incl. merged)
   std::chrono::steady_clock::time_point wall_start_{};
   double wall_seconds_ = 0.0;
-
-  std::array<std::uint64_t, kNumProfModules> flush_cum_{};
-  std::vector<FlushRecord> flushes_;
 };
 
 /// RAII module scope; a null profiler makes it a no-op.

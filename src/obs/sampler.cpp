@@ -1,10 +1,8 @@
 #include "obs/sampler.hpp"
 
 #include <ostream>
-#include <set>
 
 #include "common/jsonio.hpp"
-#include "obs/binlog.hpp"
 
 namespace gpuqos {
 
@@ -52,47 +50,6 @@ void IntervalSampler::write_jsonl(std::ostream& os) const {
       os << "\"" << json_escape(name) << "\":" << json_double(v);
     }
     os << "}}\n";
-  }
-}
-
-void IntervalSampler::write_csv(std::ostream& os) const {
-  std::set<std::string> counter_keys;
-  std::set<std::string> gauge_keys;
-  for (const Sample& s : samples_) {
-    for (const auto& [name, _] : s.deltas) counter_keys.insert(name);
-    for (const auto& [name, _] : s.gauges) gauge_keys.insert(name);
-  }
-  os << "cycle,dt";
-  for (const auto& k : counter_keys) os << "," << k;
-  for (const auto& k : gauge_keys) os << "," << k;
-  os << "\n";
-  for (const Sample& s : samples_) {
-    os << s.cycle << "," << s.dt;
-    for (const auto& k : counter_keys) {
-      auto it = s.deltas.find(k);
-      os << "," << (it == s.deltas.end() ? 0 : it->second);
-    }
-    for (const auto& k : gauge_keys) {
-      auto it = s.gauges.find(k);
-      os << "," << json_double(it == s.gauges.end() ? 0.0 : it->second);
-    }
-    os << "\n";
-  }
-}
-
-void IntervalSampler::write_binlog(BinLogWriter& w) const {
-  const std::uint32_t id = w.define_stream(
-      "samples", {{"cycle", BinField::U64},
-                  {"dt", BinField::U64},
-                  {"counters", BinField::KvU64},
-                  {"gauges", BinField::KvF64}});
-  for (const Sample& s : samples_) {
-    w.begin_row(id);
-    w.u64(s.cycle);
-    w.u64(s.dt);
-    w.kv_u64(s.deltas);
-    w.kv_f64(s.gauges);
-    w.end_row();
   }
 }
 

@@ -4,7 +4,7 @@
 // base cycles it snapshots the registry, records the per-counter delta since
 // the previous snapshot, and evaluates a set of gauge callbacks (instantaneous
 // values such as the ATU window WG or the predicted FPS). The in-memory
-// series streams to JSONL (one object per interval) or CSV.
+// series streams to JSONL (one object per interval).
 #pragma once
 
 #include <cstdint>
@@ -18,8 +18,6 @@
 #include "common/types.hpp"
 
 namespace gpuqos {
-
-class BinLogWriter;
 
 class IntervalSampler {
  public:
@@ -52,16 +50,6 @@ class IntervalSampler {
   /// One JSON object per line:
   /// {"cycle":N,"dt":N,"counters":{...},"gauges":{...}}
   void write_jsonl(std::ostream& os) const;
-
-  /// Header row (cycle, dt, union of counter and gauge keys), then one row
-  /// per sample; absent counters render as 0.
-  void write_csv(std::ostream& os) const;
-
-  /// Append the series to the "samples" stream of a binlog (obs/binlog.hpp):
-  /// one row per sample, counter/gauge names deduplicated through the file
-  /// dictionary. `obs_cat` converts it back to the write_jsonl/write_csv
-  /// output byte-for-byte.
-  void write_binlog(BinLogWriter& w) const;
 
  private:
   const StatRegistry* stats_ = nullptr;

@@ -120,8 +120,6 @@ void Telemetry::on_qos_control(const QosControlRecord& rec) {
 
   last_wg_ = rec.wg;
   last_prio_ = rec.cpu_prio_boost;
-  last_control_ = rec;
-  has_control_ = true;
 }
 
 void Telemetry::mark_phase(Cycle base_now, const std::string& label) {

@@ -47,7 +47,6 @@ struct TelemetryOptions {
   // Host-time attribution (obs/profiler.hpp): off by default — the scopes
   // then cost one null check per module entry.
   bool capture_profile = false;
-  Cycle prof_flush_interval = 0;  // base cycles between flushes; 0 = none
 };
 
 /// Snapshot of one governor control step (Fig. 6 inputs and outputs).
@@ -144,8 +143,6 @@ class Telemetry {
   Cycle prio_start_gpu_ = 0;
   Cycle last_wg_ = 0;
   bool last_prio_ = false;
-  bool has_control_ = false;
-  QosControlRecord last_control_;
 };
 
 }  // namespace gpuqos

@@ -4,7 +4,6 @@
 
 #include "common/jsonio.hpp"
 #include "common/units.hpp"
-#include "obs/binlog.hpp"
 
 namespace gpuqos {
 namespace {
@@ -12,6 +11,39 @@ namespace {
 constexpr int kPid = 1;
 
 double cycles_to_us(Cycle c) { return cycles_to_seconds(c) * 1e6; }
+
+void render_event(std::ostream& os, const TraceWriter::Event& e, bool first) {
+  if (!first) os << ",";
+  os << "\n";
+  if (e.ph == 'M') {
+    // Metadata: process_name (tid 0) or thread_name.
+    if (e.tid == 0) {
+      os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
+         << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(e.name)
+         << "\"}}";
+    } else {
+      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
+         << ",\"tid\":" << e.tid << ",\"args\":{\"name\":\""
+         << json_escape(e.name) << "\"}}";
+    }
+    return;
+  }
+  os << "{\"name\":\"" << json_escape(e.name) << "\",\"ph\":\"" << e.ph
+     << "\",\"ts\":" << json_double(cycles_to_us(e.ts)) << ",\"pid\":" << kPid
+     << ",\"tid\":" << e.tid;
+  if (e.ph == 'X') {
+    os << ",\"dur\":" << json_double(cycles_to_us(e.ts + e.dur) -
+                                     cycles_to_us(e.ts));
+  }
+  if (e.ph == 'C') {
+    os << ",\"args\":{\"value\":" << json_double(e.value) << "}";
+  } else if (!e.args.empty()) {
+    os << ",\"args\":{" << e.args << "}";
+  } else if (e.ph == 'i') {
+    os << ",\"s\":\"g\"";
+  }
+  os << "}";
+}
 
 }  // namespace
 
@@ -63,77 +95,14 @@ void TraceWriter::name_thread(int tid, const std::string& name) {
   events_.push_back(std::move(e));
 }
 
-void TraceWriter::render_prelude(std::ostream& os) {
-  os << "{\"traceEvents\":[";
-}
-
-void TraceWriter::render_event(std::ostream& os, const Event& e, bool first) {
-  if (!first) os << ",";
-  os << "\n";
-  if (e.ph == 'M') {
-    // Metadata: process_name (tid 0) or thread_name.
-    if (e.tid == 0) {
-      os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << kPid
-         << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(e.name)
-         << "\"}}";
-    } else {
-      os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << kPid
-         << ",\"tid\":" << e.tid << ",\"args\":{\"name\":\""
-         << json_escape(e.name) << "\"}}";
-    }
-    return;
-  }
-  os << "{\"name\":\"" << json_escape(e.name) << "\",\"ph\":\"" << e.ph
-     << "\",\"ts\":" << json_double(cycles_to_us(e.ts)) << ",\"pid\":" << kPid
-     << ",\"tid\":" << e.tid;
-  if (e.ph == 'X') {
-    os << ",\"dur\":" << json_double(cycles_to_us(e.ts + e.dur) -
-                                     cycles_to_us(e.ts));
-  }
-  if (e.ph == 'C') {
-    os << ",\"args\":{\"value\":" << json_double(e.value) << "}";
-  } else if (!e.args.empty()) {
-    os << ",\"args\":{" << e.args << "}";
-  } else if (e.ph == 'i') {
-    os << ",\"s\":\"g\"";
-  }
-  os << "}";
-}
-
-void TraceWriter::render_epilogue(std::ostream& os) {
-  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
 void TraceWriter::write(std::ostream& os) const {
-  render_prelude(os);
+  os << "{\"traceEvents\":[";
   bool first = true;
   for (const Event& e : events_) {
     render_event(os, e, first);
     first = false;
   }
-  render_epilogue(os);
-}
-
-void TraceWriter::write_binlog(BinLogWriter& w) const {
-  const std::uint32_t id = w.define_stream(
-      "trace", {{"name", BinField::Str},
-                {"ph", BinField::Str},
-                {"ts", BinField::U64},
-                {"dur", BinField::U64},
-                {"tid", BinField::U64},
-                {"args", BinField::Str},
-                {"value", BinField::F64}});
-  for (const Event& e : events_) {
-    w.begin_row(id);
-    w.str(e.name);
-    w.str(std::string(1, e.ph));
-    w.u64(e.ts);
-    w.u64(e.dur);
-    w.u64(static_cast<std::uint64_t>(e.tid));
-    w.str(e.args);
-    w.f64(e.value);
-    w.end_row();
-  }
+  os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 }  // namespace gpuqos

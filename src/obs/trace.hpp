@@ -15,8 +15,6 @@
 
 namespace gpuqos {
 
-class BinLogWriter;
-
 class TraceWriter {
  public:
   struct Event {
@@ -56,16 +54,6 @@ class TraceWriter {
 
   /// Serialize as {"traceEvents":[...],"displayTimeUnit":"ms"}.
   void write(std::ostream& os) const;
-
-  /// Append every event to the "trace" stream of a binlog (obs/binlog.hpp);
-  /// binlog_to_chrome_trace() reconstructs an identical document.
-  void write_binlog(BinLogWriter& w) const;
-
-  // Single rendering path, shared with the binlog decoder so a decoded trace
-  // is byte-identical to a natively written one.
-  static void render_prelude(std::ostream& os);
-  static void render_event(std::ostream& os, const Event& e, bool first);
-  static void render_epilogue(std::ostream& os);
 
  private:
   std::vector<Event> events_;

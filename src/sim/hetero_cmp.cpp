@@ -330,11 +330,6 @@ void HeteroCmp::attach_telemetry(Telemetry& telemetry) {
     dram_->set_profiler(prof);
     governor_->set_profiler(prof);
     prof->start();
-    if (telemetry.options().prof_flush_interval > 0) {
-      const Cycle period = telemetry.options().prof_flush_interval;
-      engine_->add_ticker(period, /*phase=*/period - 1,
-                          [prof](Cycle now) { prof->flush(now); });
-    }
   }
 
   // Frame spans + FRPU prediction journal: interpose a tee between the
