@@ -208,46 +208,31 @@ std::uint64_t SetAssocCache::digest() const {
   return h.value();
 }
 
-void SetAssocCache::save(ckpt::StateWriter& w) const {
-  w.u64(blocks_.size());
-  for (const Block& b : blocks_) {
-    w.u64(b.tag);
-    w.boolean(b.valid);
-    w.boolean(b.dirty);
-    w.u8(static_cast<std::uint8_t>(b.owner.kind));
-    w.u8(b.owner.index);
-    w.u8(static_cast<std::uint8_t>(b.gclass));
+template <class IO>
+void SetAssocCache::visit_state(IO& io) {
+  io.expect_size(blocks_.size(), name_ + ": tag-store block count");
+  for (Block& b : blocks_) {
+    io.u64(b.tag);
+    io.boolean(b.valid);
+    io.boolean(b.dirty);
+    io.enum_u8(b.owner.kind);
+    io.u8(b.owner.index);
+    io.enum_u8(b.gclass);
   }
-  w.u64(hits_);
-  w.u64(misses_);
-  w.u64(gpu_blocks_);
-  w.u64(valid_blocks_);
-  policy_->save(w);
+  io.u64(hits_);
+  io.u64(misses_);
+  io.u64(gpu_blocks_);
+  io.u64(valid_blocks_);
+  io.sub(*policy_);
 }
 
+void SetAssocCache::save(ckpt::StateWriter& w) { visit_state(w); }
+
 void SetAssocCache::load(ckpt::StateReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != blocks_.size()) {
-    r.fail(name_ + ": tag-store geometry mismatch (snapshot has " +
-           std::to_string(n) + " blocks, this config has " +
-           std::to_string(blocks_.size()) + ")");
-  }
-  for (Block& b : blocks_) {
-    b.tag = r.u64();
-    b.valid = r.boolean();
-    b.dirty = r.boolean();
-    b.owner.kind = static_cast<SourceId::Kind>(r.u8());
-    b.owner.index = r.u8();
-    b.gclass = static_cast<GpuAccessClass>(r.u8());
-  }
+  visit_state(r);
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     way_tags_[i] = blocks_[i].valid ? (blocks_[i].tag << 1) | 1 : Addr{0};
   }
-  hits_ = r.u64();
-  misses_ = r.u64();
-  gpu_blocks_ = r.u64();
-  valid_blocks_ = r.u64();
-  policy_->load(r);
 }
 
 }  // namespace gpuqos

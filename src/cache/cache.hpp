@@ -83,10 +83,13 @@ class SetAssocCache {
   /// Checkpoint the tag store, replacement state, and counters into the
   /// current section; load() targets a freshly-constructed cache with the
   /// same configuration (docs/CHECKPOINT.md).
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
+
   struct Block {
     Addr tag = 0;
     bool valid = false;

@@ -247,25 +247,19 @@ std::uint64_t SharedLlc::digest() const {
   return h.value();
 }
 
-void SharedLlc::save(ckpt::StateWriter& w) const {
-  if (!quiescent()) {
-    throw ckpt::CkptError(
-        "llc save() with misses in flight: the simulation was not drained "
-        "before checkpointing");
-  }
-  tags_->save(w);
-  w.u64(gpu_held_mshrs_);
-  w.u64(port_cycle_);
-  w.u32(port_used_);
+template <class IO>
+void SharedLlc::visit_state(IO& io) {
+  io.require(quiescent(),
+             "llc has misses in flight: the simulation was not drained "
+             "before checkpointing");
+  io.sub(*tags_);
+  io.u64(gpu_held_mshrs_);
+  io.u64(port_cycle_);
+  io.u32(port_used_);
 }
 
-void SharedLlc::load(ckpt::StateReader& r) {
-  if (!quiescent()) r.fail("llc load() target has misses in flight");
-  tags_->load(r);
-  gpu_held_mshrs_ = r.u64();
-  port_cycle_ = r.u64();
-  port_used_ = r.u32();
-}
+void SharedLlc::save(ckpt::StateWriter& w) { visit_state(w); }
+void SharedLlc::load(ckpt::StateReader& r) { visit_state(r); }
 
 void SharedLlc::handle_eviction(const Eviction& ev) {
   bool dirty = ev.dirty;

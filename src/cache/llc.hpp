@@ -72,10 +72,12 @@ class SharedLlc {
   /// Checkpoint tags and port state (docs/CHECKPOINT.md). MSHR entries hold
   /// completion closures, so save() requires quiescent() — guaranteed by the
   /// barrier drain.
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   void start_lookup(MemRequest&& req);
   void do_access(MemRequest&& req);
   void handle_read_miss(MemRequest&& req);

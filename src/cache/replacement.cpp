@@ -36,18 +36,15 @@ std::uint64_t LruPolicy::digest() const {
   return h.value();
 }
 
-void LruPolicy::save(ckpt::StateWriter& w) const {
-  w.u64(tick_);
-  w.u64(stamp_.size());
-  for (std::uint64_t s : stamp_) w.u64(s);
+template <class IO>
+void LruPolicy::visit_state(IO& io) {
+  io.u64(tick_);
+  io.expect_size(stamp_.size(), "LRU geometry");
+  for (std::uint64_t& s : stamp_) io.u64(s);
 }
 
-void LruPolicy::load(ckpt::StateReader& r) {
-  tick_ = r.u64();
-  const std::uint64_t n = r.u64();
-  if (n != stamp_.size()) r.fail("LRU geometry mismatch");
-  for (std::uint64_t& s : stamp_) s = r.u64();
-}
+void LruPolicy::save(ckpt::StateWriter& w) { visit_state(w); }
+void LruPolicy::load(ckpt::StateReader& r) { visit_state(r); }
 
 SrripPolicy::SrripPolicy(std::uint64_t sets, unsigned ways)
     : ways_(ways), rrpv_(sets * ways, 3) {}
@@ -77,18 +74,15 @@ std::uint64_t SrripPolicy::digest() const {
   return h.value();
 }
 
-void SrripPolicy::save(ckpt::StateWriter& w) const {
-  w.u8(insert_rrpv_);
-  w.u64(rrpv_.size());
-  for (std::uint8_t v : rrpv_) w.u8(v);
+template <class IO>
+void SrripPolicy::visit_state(IO& io) {
+  io.u8(insert_rrpv_);
+  io.expect_size(rrpv_.size(), "SRRIP geometry");
+  for (std::uint8_t& v : rrpv_) io.u8(v);
 }
 
-void SrripPolicy::load(ckpt::StateReader& r) {
-  insert_rrpv_ = r.u8();
-  const std::uint64_t n = r.u64();
-  if (n != rrpv_.size()) r.fail("SRRIP geometry mismatch");
-  for (std::uint8_t& v : rrpv_) v = r.u8();
-}
+void SrripPolicy::save(ckpt::StateWriter& w) { visit_state(w); }
+void SrripPolicy::load(ckpt::StateReader& r) { visit_state(r); }
 
 std::unique_ptr<ReplacementPolicy> make_policy(bool srrip, std::uint64_t sets,
                                                unsigned ways) {

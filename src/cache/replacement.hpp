@@ -27,7 +27,7 @@ class ReplacementPolicy {
   [[nodiscard]] virtual std::uint64_t digest() const = 0;
   /// Checkpoint the replacement state (docs/CHECKPOINT.md). load() targets a
   /// freshly-constructed policy of the same geometry.
-  virtual void save(ckpt::StateWriter& w) const = 0;
+  virtual void save(ckpt::StateWriter& w) = 0;
   virtual void load(ckpt::StateReader& r) = 0;
 };
 
@@ -38,10 +38,13 @@ class LruPolicy final : public ReplacementPolicy {
   void on_hit(std::uint64_t set, unsigned way) override;
   unsigned victim(std::uint64_t set) override;
   [[nodiscard]] std::uint64_t digest() const override;
-  void save(ckpt::StateWriter& w) const override;
+  void save(ckpt::StateWriter& w) override;
   void load(ckpt::StateReader& r) override;
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
+
   unsigned ways_;  // ckpt:skip digest:skip: geometry, fixed at construction
   std::uint64_t tick_ = 0;
   std::vector<std::uint64_t> stamp_;  // sets * ways
@@ -56,7 +59,7 @@ class SrripPolicy final : public ReplacementPolicy {
   void on_hit(std::uint64_t set, unsigned way) override;
   unsigned victim(std::uint64_t set) override;
   [[nodiscard]] std::uint64_t digest() const override;
-  void save(ckpt::StateWriter& w) const override;
+  void save(ckpt::StateWriter& w) override;
   void load(ckpt::StateReader& r) override;
 
   /// Insertion RRPV override hook (used by tests and by distant-insertion
@@ -64,6 +67,9 @@ class SrripPolicy final : public ReplacementPolicy {
   void set_insert_rrpv(std::uint8_t v) { insert_rrpv_ = v; }
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
+
   unsigned ways_;  // ckpt:skip digest:skip: geometry, fixed at construction
   std::uint8_t insert_rrpv_ = 2;
   std::vector<std::uint8_t> rrpv_;  // sets * ways

@@ -2,45 +2,24 @@
 
 namespace gpuqos::ckpt {
 
-void save_meta(StateWriter& w, const SnapshotMeta& meta) {
-  w.begin_section("meta");
-  w.str(meta.mix_id);
-  w.str(meta.policy);
-  w.u64(meta.seed);
-  w.u32(meta.cpu_cores);
-  w.f64(meta.fps_scale);
-  w.u64(meta.cfg_digest);
-  w.u64(meta.warm_instrs);
-  w.u64(meta.measure_instrs);
-  w.u32(meta.warm_frames);
-  w.u32(meta.measure_frames);
-  w.u64(meta.warm_min_cycles);
-  w.u64(meta.max_cycles);
-  w.end_section();
-}
-
-SnapshotMeta load_meta(StateReader& r) {
-  if (r.tag() != "meta") {
-    r.fail("expected the snapshot to begin with a 'meta' section");
-  }
-  SnapshotMeta m;
-  m.mix_id = r.str();
-  m.policy = r.str();
-  m.seed = r.u64();
-  m.cpu_cores = r.u32();
-  m.fps_scale = r.f64();
-  m.cfg_digest = r.u64();
-  m.warm_instrs = r.u64();
-  m.measure_instrs = r.u64();
-  m.warm_frames = r.u32();
-  m.measure_frames = r.u32();
-  m.warm_min_cycles = r.u64();
-  m.max_cycles = r.u64();
-  r.expect_section_end();
-  return m;
-}
-
 namespace {
+
+/// The meta section's walk; `Meta` is const when writing.
+template <class IO, class Meta>
+void visit_meta(IO& io, Meta& m) {
+  io.str(m.mix_id);
+  io.str(m.policy);
+  io.u64(m.seed);
+  io.u32(m.cpu_cores);
+  io.f64(m.fps_scale);
+  io.u64(m.cfg_digest);
+  io.u64(m.warm_instrs);
+  io.u64(m.measure_instrs);
+  io.u32(m.warm_frames);
+  io.u32(m.measure_frames);
+  io.u64(m.warm_min_cycles);
+  io.u64(m.max_cycles);
+}
 
 template <class T>
 void check_field(const char* name, const T& snap, const T& live) {
@@ -64,6 +43,21 @@ void check_field(const char* name, const T& snap, const T& live) {
 }
 
 }  // namespace
+
+void save_meta(StateWriter& w, const SnapshotMeta& meta) {
+  w.begin_section("meta");
+  visit_meta(w, meta);
+  w.end_section();
+}
+
+SnapshotMeta load_meta(StateReader& r) {
+  r.require(r.tag() == "meta",
+            "expected the snapshot to begin with a 'meta' section");
+  SnapshotMeta m;
+  visit_meta(r, m);
+  r.expect_section_end();
+  return m;
+}
 
 void validate_meta(const SnapshotMeta& snap, const SnapshotMeta& live,
                    RestoreMode mode) {

@@ -118,6 +118,10 @@ void StateWriter::bytes(const void* data, std::size_t len) {
   append(payload_, data, len);
 }
 
+void StateWriter::fail(const std::string& message) const {
+  throw CkptError("section '" + tag_ + "': " + message);
+}
+
 std::vector<std::uint8_t> StateWriter::finish() {
   if (in_section_) {
     throw CkptError("finish() while section '" + tag_ + "' is open");
@@ -240,6 +244,23 @@ void StateReader::bytes(void* out, std::size_t len) {
   need(len);
   std::memcpy(out, data_.data() + pos_, len);
   pos_ += len;
+}
+
+void StateReader::expect_size(std::uint64_t size, std::string_view what) {
+  const std::uint64_t n = u64();
+  if (n != size) {
+    fail(std::string(what) + " mismatch (snapshot has " + std::to_string(n) +
+         ", this run has " + std::to_string(size) + ")");
+  }
+}
+
+std::uint64_t StateReader::read_length() {
+  const std::uint64_t n = u64();
+  if (n > remaining()) {
+    fail("length " + std::to_string(n) + " overruns the payload (" +
+         std::to_string(remaining()) + " bytes left)");
+  }
+  return n;
 }
 
 void StateReader::expect_section_end() const {

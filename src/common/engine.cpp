@@ -189,53 +189,42 @@ std::uint64_t Engine::digest() const {
   return h.value();
 }
 
-void Engine::save(ckpt::StateWriter& w) const {
-  if (pending_events() != 0) {
-    throw ckpt::CkptError(
-        "engine save() with events still pending: the simulation was not "
-        "drained before checkpointing");
+template <class IO>
+void Engine::visit_state(IO& io) {
+  io.require(pending_events() == 0,
+             "engine has events pending: the simulation was not drained "
+             "before checkpointing");
+  io.u64(now_);
+  io.u64(seq_);
+  io.u64(events_run_);
+  io.u64(ticks_run_);
+  std::uint64_t count = tickers_.size();
+  io.u64(count);
+  if (count != tickers_.size()) {
+    io.fail("ticker count mismatch (snapshot has " + std::to_string(count) +
+            ", this run registered " + std::to_string(tickers_.size()) +
+            "); a resumed run must attach the same instrumentation "
+            "(telemetry/check intervals, policy, mix) as the run that "
+            "produced the snapshot");
   }
-  w.u64(now_);
-  w.u64(seq_);
-  w.u64(events_run_);
-  w.u64(ticks_run_);
-  w.u64(tickers_.size());
   for (TickerId id = 0; id < tickers_.size(); ++id) {
-    w.u64(tickers_[id].period);
-    w.u64(open_slot(id));  // a parked ticker is saved awake
+    Ticker& t = tickers_[id];
+    io.expect_size(t.period, "ticker period");
+    Cycle next_fire = open_slot(id);  // a parked ticker is saved awake
+    io.u64(next_fire);
+    if constexpr (IO::kLoading) {
+      t.phase = next_fire % t.period;
+      t.next_fire = next_fire;
+      min_next_fire_ = std::min(min_next_fire_, next_fire);
+    }
   }
 }
 
+void Engine::save(ckpt::StateWriter& w) { visit_state(w); }
+
 void Engine::load(ckpt::StateReader& r) {
-  if (pending_events() != 0) {
-    r.fail("engine load() target already has scheduled events");
-  }
-  now_ = r.u64();
-  seq_ = r.u64();
-  events_run_ = r.u64();
-  ticks_run_ = r.u64();
-  const std::uint64_t count = r.u64();
-  if (count != tickers_.size()) {
-    r.fail("ticker count mismatch (snapshot has " + std::to_string(count) +
-           ", this run registered " + std::to_string(tickers_.size()) +
-           "); a resumed run must attach the same instrumentation "
-           "(telemetry/check intervals, policy, mix) as the run that "
-           "produced the snapshot");
-  }
   min_next_fire_ = kNoCycle;
-  for (auto& t : tickers_) {
-    const Cycle period = r.u64();
-    const Cycle next_fire = r.u64();
-    if (period != t.period) {
-      r.fail("ticker period mismatch (snapshot has " + std::to_string(period) +
-             ", this run registered " + std::to_string(t.period) +
-             "); tickers must be registered in the same order with the same "
-             "periods as the run that produced the snapshot");
-    }
-    t.phase = next_fire % period;
-    t.next_fire = next_fire;
-    min_next_fire_ = std::min(min_next_fire_, next_fire);
-  }
+  visit_state(r);
 }
 
 }  // namespace gpuqos

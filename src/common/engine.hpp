@@ -142,7 +142,7 @@ class Engine {
   /// engine to be drained (pending_events() == 0) — HeteroCmp's barrier
   /// drain guarantees this. Each ticker is saved at its next awake slot, so
   /// a parked ticker restores awake.
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
 
   /// Restore into a freshly-constructed engine whose tickers have already
   /// been registered. The ticker list must match the saved one (same count,
@@ -151,6 +151,9 @@ class Engine {
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
+
   struct EventNode {
     std::uint64_t seq;
     Action fn;

@@ -44,14 +44,15 @@ class Rng {
   /// Serialize the generator state. The geometric() memo is derived from the
   /// caller's `mean` argument and is rebuilt on first use, so only s_ is
   /// persisted (bit-identical draws either way).
-  void save(ckpt::StateWriter& w) const {
-    for (std::uint64_t word : s_) w.u64(word);
-  }
-  void load(ckpt::StateReader& r) {
-    for (std::uint64_t& word : s_) word = r.u64();
-  }
+  void save(ckpt::StateWriter& w) { visit_state(w); }
+  void load(ckpt::StateReader& r) { visit_state(r); }
 
  private:
+  template <class IO>
+  void visit_state(IO& io) {
+    for (std::uint64_t& word : s_) io.u64(word);
+  }
+
   std::uint64_t s_[4];
   // geometric() memo (derived from the last `mean`, not generator state —
   // deliberately excluded from digest()).

@@ -106,36 +106,19 @@ std::uint64_t StatRegistry::digest() const {
   return h.value();
 }
 
-void StatRegistry::save(ckpt::StateWriter& w) const {
+template <class IO>
+void StatRegistry::visit_state(IO& io) {
+  // Settle first: a save writes every owed count, and a load lands none on
+  // top of the loaded values. A load assigns into the maps rather than
+  // swapping them out: modules cached counter_ptr() nodes at construction
+  // and those pointers must stay live.
   settle();
-  w.u64(counters_.size());
-  for (const auto& [name, value] : counters_) {
-    w.str(name);
-    w.u64(value);
-  }
-  w.u64(scalars_.size());
-  for (const auto& [name, value] : scalars_) {
-    w.str(name);
-    w.f64(value);
-  }
+  io.map(counters_, [&io](std::uint64_t& v) { io.u64(v); });
+  io.map(scalars_, [&io](double& v) { io.f64(v); });
 }
 
-void StatRegistry::load(ckpt::StateReader& r) {
-  // Assign into the maps rather than swapping them out: modules cached
-  // counter_ptr() nodes at construction and those pointers must stay live.
-  // Settle first, so no owed count lands on top of the loaded values.
-  settle();
-  const std::uint64_t nc = r.u64();
-  for (std::uint64_t i = 0; i < nc; ++i) {
-    const std::string name = r.str();
-    counters_[name] = r.u64();
-  }
-  const std::uint64_t ns = r.u64();
-  for (std::uint64_t i = 0; i < ns; ++i) {
-    const std::string name = r.str();
-    scalars_[name] = r.f64();
-  }
-}
+void StatRegistry::save(ckpt::StateWriter& w) { visit_state(w); }
+void StatRegistry::load(ckpt::StateReader& r) { visit_state(r); }
 
 void StatRegistry::add_settle_hook(const void* owner,
                                    std::function<void()> fn) {

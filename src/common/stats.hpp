@@ -67,7 +67,7 @@ class StatRegistry {
   /// Serialize every counter and scalar. load() writes values into existing
   /// map nodes (or creates them), so counter_ptr pointers cached by modules
   /// before the load stay valid and observe the restored values.
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
   /// Register `fn` to bring `owner`'s lazily-counted counters up to date
@@ -76,6 +76,8 @@ class StatRegistry {
   void remove_settle_hooks(const void* owner);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   void settle() const;
 
   std::map<std::string, std::uint64_t> counters_;

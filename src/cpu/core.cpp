@@ -321,67 +321,44 @@ std::uint64_t CpuCore::digest() const {
   return h.value();
 }
 
-void CpuCore::save(ckpt::StateWriter& w) const {
-  if (!quiescent()) {
-    throw ckpt::CkptError("cpu core save() with misses in flight: the "
-                          "simulation was not drained before checkpointing");
-  }
-  w.u64(committed_);
-  w.u64(resume_at_);
-  w.i64(blocking_miss_);
-  w.boolean(has_pending_);
-  w.u32(pending_.gap);
-  w.u64(pending_.addr);
-  w.boolean(pending_.is_store);
-  w.boolean(pending_.dependent);
-  w.u32(gap_left_);
+template <class IO>
+void CpuCore::visit_state(IO& io) {
+  io.require(quiescent(),
+             "cpu core has misses in flight: the simulation was not drained "
+             "before checkpointing");
+  io.u64(committed_);
+  io.u64(resume_at_);
+  io.i64(blocking_miss_);
+  io.boolean(has_pending_);
+  io.u32(pending_.gap);
+  io.u64(pending_.addr);
+  io.boolean(pending_.is_store);
+  io.boolean(pending_.dependent);
+  io.u32(gap_left_);
   // Resolved-but-uncompacted misses carry no closures; serialize them so the
   // next tick's compaction (and the digest until then) replays identically.
-  w.u64(outstanding_.size());
-  for (const Miss& m : outstanding_) {
-    w.u64(m.seq);
-    w.boolean(m.done);
+  io.length(outstanding_);
+  for (Miss& m : outstanding_) {
+    io.u64(m.seq);
+    io.boolean(m.done);
+    io.require(m.done, "outstanding miss not done in snapshot");
   }
-  w.u32(done_misses_);
-  for (const StreamTracker& t : trackers_) {
-    w.u64(t.next);
-    w.boolean(t.valid);
+  io.u32(done_misses_);
+  for (StreamTracker& t : trackers_) {
+    io.u64(t.next);
+    io.boolean(t.valid);
   }
-  w.u32(tracker_rr_);
-  l1d_->save(w);
-  l2_->save(w);
-  stream_->save(w);
+  io.u32(tracker_rr_);
+  io.sub(*l1d_);
+  io.sub(*l2_);
+  io.sub(*stream_);
 }
+
+void CpuCore::save(ckpt::StateWriter& w) { visit_state(w); }
 
 void CpuCore::load(ckpt::StateReader& r) {
   park_ = Park::None;  // the restored engine schedules every ticker awake
-  committed_ = r.u64();
-  resume_at_ = r.u64();
-  blocking_miss_ = r.i64();
-  has_pending_ = r.boolean();
-  pending_.gap = r.u32();
-  pending_.addr = r.u64();
-  pending_.is_store = r.boolean();
-  pending_.dependent = r.boolean();
-  gap_left_ = r.u32();
-  const std::uint64_t n = r.u64();
-  outstanding_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Miss m;
-    m.seq = r.u64();
-    m.done = r.boolean();
-    if (!m.done) r.fail("outstanding miss not done in snapshot");
-    outstanding_.push_back(m);
-  }
-  done_misses_ = r.u32();
-  for (StreamTracker& t : trackers_) {
-    t.next = r.u64();
-    t.valid = r.boolean();
-  }
-  tracker_rr_ = r.u32();
-  l1d_->load(r);
-  l2_->load(r);
-  stream_->load(r);
+  visit_state(r);
 }
 
 }  // namespace gpuqos

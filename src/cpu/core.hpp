@@ -106,10 +106,13 @@ class CpuCore {
 
   /// Checkpoint the architectural state; requires quiescent(). load()
   /// targets a freshly-constructed core with the same configuration.
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
+
   struct Miss {
     std::uint64_t seq;   // committed-instruction count at issue
     bool done = false;

@@ -57,14 +57,8 @@ class CpuStream {
 
   /// Checkpoint the stream position (docs/CHECKPOINT.md). The profile, base
   /// address, and derived means are construction parameters, not state.
-  void save(ckpt::StateWriter& w) const {
-    rng_.save(w);
-    w.u64(stream_pos_);
-  }
-  void load(ckpt::StateReader& r) {
-    rng_.load(r);
-    stream_pos_ = r.u64();
-  }
+  void save(ckpt::StateWriter& w) { visit_state(w); }
+  void load(ckpt::StateReader& r) { visit_state(r); }
 
   /// Fold the stream position into a determinism digest so an rng divergence
   /// surfaces at the sample point instead of cycles later through committed_.
@@ -76,6 +70,12 @@ class CpuStream {
   }
 
  private:
+  template <class IO>
+  void visit_state(IO& io) {
+    io.sub(rng_);
+    io.u64(stream_pos_);
+  }
+
   SpecProfile profile_;  // ckpt:skip digest:skip: construction parameter
   Addr base_;            // ckpt:skip digest:skip: construction parameter
   Rng rng_;

@@ -65,18 +65,8 @@ class Bank {
   }
 
   /// Checkpoint the full bank state (docs/CHECKPOINT.md).
-  void save(ckpt::StateWriter& w) const {
-    w.boolean(row_open_);
-    w.u64(open_row_);
-    w.u64(ready_at_);
-    w.u64(activated_at_);
-  }
-  void load(ckpt::StateReader& r) {
-    row_open_ = r.boolean();
-    open_row_ = r.u64();
-    ready_at_ = r.u64();
-    activated_at_ = r.u64();
-  }
+  void save(ckpt::StateWriter& w) { visit_state(w); }
+  void load(ckpt::StateReader& r) { visit_state(r); }
 
   /// Fold the full bank state into a running determinism digest.
   void mix_into(Fnv1a64& h) const {
@@ -87,6 +77,14 @@ class Bank {
   }
 
  private:
+  template <class IO>
+  void visit_state(IO& io) {
+    io.boolean(row_open_);
+    io.u64(open_row_);
+    io.u64(ready_at_);
+    io.u64(activated_at_);
+  }
+
   bool row_open_ = false;
   std::uint64_t open_row_ = 0;
   Cycle ready_at_ = 0;

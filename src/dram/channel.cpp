@@ -242,27 +242,19 @@ std::uint64_t Channel::digest() const {
   return h.value();
 }
 
-void Channel::save(ckpt::StateWriter& w) const {
-  if (!idle()) {
-    throw ckpt::CkptError(
-        "dram channel save() with requests in flight: the simulation was not "
-        "drained before checkpointing");
-  }
-  w.u64(banks_.size());
-  for (const Bank& b : banks_) b.save(w);
-  w.u64(bus_free_at_);
-  w.boolean(draining_writes_);
-  w.u64(next_id_);
+template <class IO>
+void Channel::visit_state(IO& io) {
+  io.require(idle(),
+             "dram channel has requests in flight: the simulation was not "
+             "drained before checkpointing");
+  io.expect_size(banks_.size(), "bank count");
+  for (Bank& b : banks_) io.sub(b);
+  io.u64(bus_free_at_);
+  io.boolean(draining_writes_);
+  io.u64(next_id_);
 }
 
-void Channel::load(ckpt::StateReader& r) {
-  if (!idle()) r.fail("dram channel load() target has requests in flight");
-  const std::uint64_t n = r.u64();
-  if (n != banks_.size()) r.fail("bank count mismatch");
-  for (Bank& b : banks_) b.load(r);
-  bus_free_at_ = r.u64();
-  draining_writes_ = r.boolean();
-  next_id_ = r.u64();
-}
+void Channel::save(ckpt::StateWriter& w) { visit_state(w); }
+void Channel::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

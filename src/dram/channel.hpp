@@ -67,10 +67,12 @@ class Channel {
   /// Checkpoint bank/bus state (docs/CHECKPOINT.md). Queued entries hold
   /// completion closures, so save() requires idle() — guaranteed by the
   /// barrier drain (the write queue drains once the read queue empties).
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   void service_cas(DramQueueEntry&& entry, Bank& bank);
   [[nodiscard]] std::int64_t pick_write(Cycle now) const;
   /// After a tick whose pick of `q` returned -1: skip the ticks that cannot

@@ -57,16 +57,14 @@ std::uint64_t DramController::digest() const {
   return h.value();
 }
 
-void DramController::save(ckpt::StateWriter& w) const {
-  w.u64(channels_.size());
-  for (const auto& ch : channels_) ch->save(w);
+template <class IO>
+void DramController::visit_state(IO& io) {
+  io.expect_size(channels_.size(), "channel count");
+  for (auto& ch : channels_) io.sub(*ch);
 }
 
-void DramController::load(ckpt::StateReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != channels_.size()) r.fail("channel count mismatch");
-  for (auto& ch : channels_) ch->load(r);
-}
+void DramController::save(ckpt::StateWriter& w) { visit_state(w); }
+void DramController::load(ckpt::StateReader& r) { visit_state(r); }
 
 void DramController::request(MemRequest&& req) {
   DramQueueEntry entry;

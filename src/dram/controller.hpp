@@ -46,7 +46,7 @@ class DramController {
 
   /// Checkpoint every channel (docs/CHECKPOINT.md); requires idle().
   /// Scheduler state is sectioned separately by the owner (policy-specific).
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
   [[nodiscard]] IDramScheduler& scheduler(unsigned i) {
@@ -64,6 +64,9 @@ class DramController {
   }
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
+
   DramConfig cfg_;            // ckpt:skip digest:skip: construction parameter
   std::uint64_t col_blocks_;  // ckpt:skip digest:skip: address-map constant
   // Scheduler state is checkpointed by the runner in its own section (see

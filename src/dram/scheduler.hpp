@@ -168,7 +168,7 @@ class IDramScheduler {
   /// written, which is what lets a warm snapshot taken under one policy be
   /// forked into a run under another.
   [[nodiscard]] virtual bool has_ckpt_state() const { return false; }
-  virtual void save(ckpt::StateWriter& w) const { (void)w; }
+  virtual void save(ckpt::StateWriter& w) { (void)w; }
   virtual void load(ckpt::StateReader& r) { (void)r; }
 };
 

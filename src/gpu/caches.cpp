@@ -127,21 +127,16 @@ std::uint64_t GpuCaches::digest() const {
   return h.value();
 }
 
-void GpuCaches::save(ckpt::StateWriter& w) const {
-  for (const auto* c :
-       {tex_l0_.get(), tex_l1_.get(), tex_l2_.get(), depth_l1_.get(),
-        depth_l2_.get(), color_l1_.get(), color_l2_.get(), vertex_.get(),
-        hiz_.get(), icache_.get()}) {
-    c->save(w);
-  }
-}
-
-void GpuCaches::load(ckpt::StateReader& r) {
+template <class IO>
+void GpuCaches::visit_state(IO& io) {
   for (auto* c : {tex_l0_.get(), tex_l1_.get(), tex_l2_.get(), depth_l1_.get(),
                   depth_l2_.get(), color_l1_.get(), color_l2_.get(),
                   vertex_.get(), hiz_.get(), icache_.get()}) {
-    c->load(r);
+    io.sub(*c);
   }
 }
+
+void GpuCaches::save(ckpt::StateWriter& w) { visit_state(w); }
+void GpuCaches::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

@@ -52,10 +52,12 @@ class GpuCaches {
 
   /// Checkpoint every level of every hierarchy, in fixed declaration order
   /// (docs/CHECKPOINT.md).
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   /// Two/three-level read-only lookup: fill upper levels on lower hits.
   GpuCacheResult access_ro(SetAssocCache* l0, SetAssocCache* l1,
                            SetAssocCache* l2, Addr addr, GpuAccessClass cls);

@@ -75,18 +75,15 @@ std::uint64_t GpuMemInterface::digest() const {
   return h.value();
 }
 
-void GpuMemInterface::save(ckpt::StateWriter& w) const {
-  if (!queue_.empty()) {
-    throw ckpt::CkptError(
-        "gmi save() with queued requests: the simulation was not drained "
-        "before checkpointing");
-  }
-  w.u64(issued_);
+template <class IO>
+void GpuMemInterface::visit_state(IO& io) {
+  io.require(queue_.empty(),
+             "gmi has queued requests: the simulation was not drained "
+             "before checkpointing");
+  io.u64(issued_);
 }
 
-void GpuMemInterface::load(ckpt::StateReader& r) {
-  if (!queue_.empty()) r.fail("gmi load() target has queued requests");
-  issued_ = r.u64();
-}
+void GpuMemInterface::save(ckpt::StateWriter& w) { visit_state(w); }
+void GpuMemInterface::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

@@ -69,10 +69,12 @@ class GpuMemInterface {
   /// Checkpoint the issue count (docs/CHECKPOINT.md). Queued requests hold
   /// completion closures, so save() requires an empty queue — the barrier
   /// drain leaves the GMI unfrozen precisely so it empties itself.
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   GpuConfig cfg_;  // ckpt:skip digest:skip: construction parameter
   StatRegistry& stats_;
   std::deque<MemRequest> queue_;

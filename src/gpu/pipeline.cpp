@@ -401,165 +401,91 @@ std::uint64_t GpuPipeline::digest() const {
 
 namespace {
 
-void save_frame(ckpt::StateWriter& w, const SceneFrame& f) {
-  w.u32(f.tiles_x);
-  w.u32(f.tiles_y);
-  w.u32(f.tile_px);
-  w.u64(f.batches.size());
-  for (const DrawBatch& b : f.batches) {
-    w.u32(b.triangles);
-    w.f64(b.tile_coverage);
-    w.f64(b.frags_per_tile_px);
-    w.u32(b.tex_samples);
-    w.boolean(b.depth_test);
-    w.boolean(b.depth_write);
-    w.boolean(b.blend);
-    w.u32(b.shader_cycles);
-    w.u32(b.texture_id);
-    w.f64(b.tex_locality);
-    w.u32(b.mrt_targets);
-  }
-  w.u64(f.color_base);
-  w.u64(f.depth_base);
-  w.u64(f.vertex_base);
-  w.u64(f.texture_base);
-  w.u64(f.texture_bytes);
-  w.u32(f.bytes_per_pixel);
-}
-
-SceneFrame load_frame(ckpt::StateReader& r) {
-  SceneFrame f;
-  f.tiles_x = r.u32();
-  f.tiles_y = r.u32();
-  f.tile_px = r.u32();
-  f.batches.resize(r.u64());
+template <class IO>
+void visit_frame(IO& io, SceneFrame& f) {
+  io.u32(f.tiles_x);
+  io.u32(f.tiles_y);
+  io.u32(f.tile_px);
+  io.length(f.batches);
   for (DrawBatch& b : f.batches) {
-    b.triangles = r.u32();
-    b.tile_coverage = r.f64();
-    b.frags_per_tile_px = r.f64();
-    b.tex_samples = r.u32();
-    b.depth_test = r.boolean();
-    b.depth_write = r.boolean();
-    b.blend = r.boolean();
-    b.shader_cycles = r.u32();
-    b.texture_id = r.u32();
-    b.tex_locality = r.f64();
-    b.mrt_targets = r.u32();
+    io.u32(b.triangles);
+    io.f64(b.tile_coverage);
+    io.f64(b.frags_per_tile_px);
+    io.u32(b.tex_samples);
+    io.boolean(b.depth_test);
+    io.boolean(b.depth_write);
+    io.boolean(b.blend);
+    io.u32(b.shader_cycles);
+    io.u32(b.texture_id);
+    io.f64(b.tex_locality);
+    io.u32(b.mrt_targets);
   }
-  f.color_base = r.u64();
-  f.depth_base = r.u64();
-  f.vertex_base = r.u64();
-  f.texture_base = r.u64();
-  f.texture_bytes = r.u64();
-  f.bytes_per_pixel = r.u32();
-  return f;
+  io.u64(f.color_base);
+  io.u64(f.depth_base);
+  io.u64(f.vertex_base);
+  io.u64(f.texture_base);
+  io.u64(f.texture_bytes);
+  io.u32(f.bytes_per_pixel);
 }
 
 }  // namespace
 
-void GpuPipeline::save(ckpt::StateWriter& w) const {
-  if (!quiescent()) {
-    throw ckpt::CkptError(
-        "gpu pipeline save() with fragments waiting on memory: the "
-        "simulation was not drained before checkpointing");
-  }
+template <class IO>
+void GpuPipeline::visit_state(IO& io) {
+  io.require(quiescent(),
+             "gpu pipeline has fragments waiting on memory: the simulation "
+             "was not drained before checkpointing");
   // The submitted sequence is reproduced by fresh construction; only its
   // length is recorded, for a sanity check at load time.
-  w.u64(sequence_.size());
-  w.u64(queue_.size());
-  for (const SceneFrame& f : queue_) save_frame(w, f);
-  w.boolean(rendering_);
-  save_frame(w, frame_);
-  w.u64(frame_start_);
-  w.u64(frames_done_);
-  w.u64(last_frame_cycles_);
-  w.u64(batch_idx_);
-  w.u64(verts_left_);
-  w.u64(vert_cursor_);
-  w.u64(batch_tiles_.size());
-  for (std::uint32_t t : batch_tiles_) w.u32(t);
-  w.u64(tile_cursor_);
-  w.u64(frags_left_in_tile_);
-  w.u64(px_cursor_);
-  w.u64(tex_cursor_);
-  w.u64(frag_seq_);
-  w.u64(frag_gen_.size());
+  io.expect_size(sequence_.size(), "gpu pipeline frame-sequence length");
+  io.length(queue_);
+  for (SceneFrame& f : queue_) visit_frame(io, f);
+  io.boolean(rendering_);
+  visit_frame(io, frame_);
+  io.u64(frame_start_);
+  io.u64(frames_done_);
+  io.u64(last_frame_cycles_);
+  io.u64(batch_idx_);
+  io.u64(verts_left_);
+  io.u64(vert_cursor_);
+  io.length(batch_tiles_);
+  for (std::uint32_t& t : batch_tiles_) io.u32(t);
+  io.u64(tile_cursor_);
+  io.u64(frags_left_in_tile_);
+  io.u64(px_cursor_);
+  io.u64(tex_cursor_);
+  io.u64(frag_seq_);
+  io.expect_size(frag_gen_.size(), "gpu pipeline fragment-context count");
   for (std::size_t i = 0; i < frag_gen_.size(); ++i) {
-    w.u32(frag_gen_[i]);
-    w.u64(frag_ready_at_[i]);
-    w.u32(frag_tile_[i]);
-    w.boolean(frag_active_[i] != 0);
+    io.u32(frag_gen_[i]);
+    io.u64(frag_ready_at_[i]);
+    io.u32(frag_tile_[i]);
+    io.u8(frag_active_[i]);  // 0 or 1, the byte a boolean takes
   }
-  w.u64(free_slots_.size());
-  for (std::uint32_t s : free_slots_) w.u32(s);
-  w.u64(retire_q_.size());
-  for (std::uint32_t s : retire_q_) w.u32(s);
-  w.u64(flush_pending_.size());
-  for (const auto& [addr, cls] : flush_pending_) {
-    w.u64(addr);
-    w.u8(static_cast<std::uint8_t>(cls));
+  io.length(free_slots_);
+  for (std::uint32_t& s : free_slots_) io.u32(s);
+  io.length(retire_q_);
+  for (std::uint32_t& s : retire_q_) io.u32(s);
+  io.length(flush_pending_);
+  for (auto& [addr, cls] : flush_pending_) {
+    io.u64(addr);
+    io.enum_u8(cls);
   }
-  w.u64(flush_cursor_);
-  w.boolean(flushing_);
-  w.u64(frags_done_);
-  w.u64(tol_samples_);
-  w.u64(tol_free_sum_);
-  rng_.save(w);
-  caches_->save(w);
+  io.u64(flush_cursor_);
+  io.boolean(flushing_);
+  io.u64(frags_done_);
+  io.u64(tol_samples_);
+  io.u64(tol_free_sum_);
+  io.sub(rng_);
+  io.sub(*caches_);
 }
 
+void GpuPipeline::save(ckpt::StateWriter& w) { visit_state(w); }
+
 void GpuPipeline::load(ckpt::StateReader& r) {
-  if (const std::uint64_t n = r.u64(); n != sequence_.size()) {
-    r.fail("gpu pipeline frame-sequence length mismatch (snapshot has " +
-           std::to_string(n) + ", live run submitted " +
-           std::to_string(sequence_.size()) + ")");
-  }
-  queue_.clear();
-  const std::uint64_t queued = r.u64();
-  for (std::uint64_t i = 0; i < queued; ++i) queue_.push_back(load_frame(r));
-  rendering_ = r.boolean();
-  frame_ = load_frame(r);
-  frame_start_ = r.u64();
-  frames_done_ = r.u64();
-  last_frame_cycles_ = r.u64();
-  batch_idx_ = r.u64();
-  verts_left_ = r.u64();
-  vert_cursor_ = r.u64();
-  batch_tiles_.assign(r.u64(), 0);
-  for (std::uint32_t& t : batch_tiles_) t = r.u32();
-  tile_cursor_ = r.u64();
-  frags_left_in_tile_ = r.u64();
-  px_cursor_ = r.u64();
-  tex_cursor_ = r.u64();
-  frag_seq_ = r.u64();
-  if (const std::uint64_t n = r.u64(); n != frag_gen_.size()) {
-    r.fail("gpu pipeline fragment-context count mismatch");
-  }
-  for (std::size_t i = 0; i < frag_gen_.size(); ++i) {
-    frag_gen_[i] = r.u32();
-    frag_outstanding_[i] = 0;  // quiescent by construction of the snapshot
-    frag_ready_at_[i] = r.u64();
-    frag_tile_[i] = r.u32();
-    frag_active_[i] = r.boolean() ? 1 : 0;
-  }
-  free_slots_.assign(r.u64(), 0);
-  for (std::uint32_t& s : free_slots_) s = r.u32();
-  retire_q_.clear();
-  const std::uint64_t retq = r.u64();
-  for (std::uint64_t i = 0; i < retq; ++i) retire_q_.push_back(r.u32());
-  flush_pending_.clear();
-  const std::uint64_t flushes = r.u64();
-  for (std::uint64_t i = 0; i < flushes; ++i) {
-    const Addr addr = r.u64();
-    flush_pending_.emplace_back(addr, static_cast<GpuAccessClass>(r.u8()));
-  }
-  flush_cursor_ = r.u64();
-  flushing_ = r.boolean();
-  frags_done_ = r.u64();
-  tol_samples_ = r.u64();
-  tol_free_sum_ = r.u64();
-  rng_.load(r);
-  caches_->load(r);
+  visit_state(r);
+  // Quiescent by construction of the snapshot.
+  std::fill(frag_outstanding_.begin(), frag_outstanding_.end(), 0);
 }
 
 }  // namespace gpuqos

@@ -84,10 +84,12 @@ class GpuPipeline {
   /// Checkpoint the full pipeline (frames included); requires quiescent().
   /// load() targets a freshly-constructed pipeline with the same config and
   /// the same submitted frame sequence.
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   void start_next_frame(Cycle gpu_now);
   void begin_batch(Cycle gpu_now);
   void advance_vertex_stage(Cycle gpu_now);

@@ -75,24 +75,18 @@ std::uint64_t AccessThrottler::digest() const {
   return h.value();
 }
 
-void AccessThrottler::save(ckpt::StateWriter& w) const {
-  w.u32(ng_);
-  w.u64(wg_);
-  w.u32(tokens_left_);
-  w.u64(blocked_until_);
-  w.u64(grants_);
-  w.u64(issues_);
-  w.u64(window_overlaps_);
+template <class IO>
+void AccessThrottler::visit_state(IO& io) {
+  io.u32(ng_);
+  io.u64(wg_);
+  io.u32(tokens_left_);
+  io.u64(blocked_until_);
+  io.u64(grants_);
+  io.u64(issues_);
+  io.u64(window_overlaps_);
 }
 
-void AccessThrottler::load(ckpt::StateReader& r) {
-  ng_ = r.u32();
-  wg_ = r.u64();
-  tokens_left_ = r.u32();
-  blocked_until_ = r.u64();
-  grants_ = r.u64();
-  issues_ = r.u64();
-  window_overlaps_ = r.u64();
-}
+void AccessThrottler::save(ckpt::StateWriter& w) { visit_state(w); }
+void AccessThrottler::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

@@ -44,10 +44,12 @@ class AccessThrottler : public AccessGate {
 
   /// Checkpoint the token mechanism and grant/issue tallies
   /// (docs/CHECKPOINT.md).
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   QosConfig cfg_;  // ckpt:skip digest:skip: construction parameter
   unsigned ng_;
   Cycle wg_ = 0;

@@ -189,62 +189,35 @@ std::uint64_t FrameRateEstimator::digest() const {
   return h.value();
 }
 
-void FrameRateEstimator::save(ckpt::StateWriter& w) const {
-  w.boolean(phase_ == Phase::Prediction);
-  table_.save(w);
-  w.boolean(in_frame_);
-  w.u64(frame_start_);
-  w.u32(num_tiles_);
-  w.u64(px_per_tile_);
-  w.u64(tile_updates_.size());
-  for (std::uint32_t u : tile_updates_) w.u32(u);
-  w.u32(tiles_at_target_);
-  w.u32(rtps_completed_);
-  w.u64(rtp_start_);
-  w.u32(rtp_updates_);
-  w.u32(rtp_accesses_);
-  w.u64(frame_updates_);
-  w.u64(frame_accesses_);
-  w.u64(cur_frame_rtp_cycles_);
-  w.f64(mid_frame_prediction_);
-  w.u64(samples_.size());
-  for (const EstimationSample& s : samples_) {
-    w.f64(s.predicted_cycles);
-    w.f64(s.actual_cycles);
+template <class IO>
+void FrameRateEstimator::visit_state(IO& io) {
+  io.enum_u8(phase_);  // 0 learning, 1 prediction
+  io.sub(table_);
+  io.boolean(in_frame_);
+  io.u64(frame_start_);
+  io.u32(num_tiles_);
+  io.u64(px_per_tile_);
+  io.length(tile_updates_);
+  for (std::uint32_t& u : tile_updates_) io.u32(u);
+  io.u32(tiles_at_target_);
+  io.u32(rtps_completed_);
+  io.u64(rtp_start_);
+  io.u32(rtp_updates_);
+  io.u32(rtp_accesses_);
+  io.u64(frame_updates_);
+  io.u64(frame_accesses_);
+  io.u64(cur_frame_rtp_cycles_);
+  io.f64(mid_frame_prediction_);
+  io.length(samples_);
+  for (EstimationSample& s : samples_) {
+    io.f64(s.predicted_cycles);
+    io.f64(s.actual_cycles);
   }
-  w.u64(relearns_);
-  w.u64(frames_predicted_);
+  io.u64(relearns_);
+  io.u64(frames_predicted_);
 }
 
-void FrameRateEstimator::load(ckpt::StateReader& r) {
-  phase_ = r.boolean() ? Phase::Prediction : Phase::Learning;
-  table_.load(r);
-  in_frame_ = r.boolean();
-  frame_start_ = r.u64();
-  num_tiles_ = r.u32();
-  px_per_tile_ = r.u64();
-  tile_updates_.assign(r.u64(), 0);
-  for (std::uint32_t& u : tile_updates_) u = r.u32();
-  tiles_at_target_ = r.u32();
-  rtps_completed_ = r.u32();
-  rtp_start_ = r.u64();
-  rtp_updates_ = r.u32();
-  rtp_accesses_ = r.u32();
-  frame_updates_ = r.u64();
-  frame_accesses_ = r.u64();
-  cur_frame_rtp_cycles_ = r.u64();
-  mid_frame_prediction_ = r.f64();
-  samples_.clear();
-  const std::uint64_t n = r.u64();
-  samples_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EstimationSample s;
-    s.predicted_cycles = r.f64();
-    s.actual_cycles = r.f64();
-    samples_.push_back(s);
-  }
-  relearns_ = r.u64();
-  frames_predicted_ = r.u64();
-}
+void FrameRateEstimator::save(ckpt::StateWriter& w) { visit_state(w); }
+void FrameRateEstimator::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

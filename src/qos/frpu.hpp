@@ -79,10 +79,12 @@ class FrameRateEstimator : public FrameObserver {
 
   /// Checkpoint the estimator, its RTP table, and the Fig.-8 sample log
   /// (docs/CHECKPOINT.md).
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   void complete_rtp(Cycle gpu_now);
   void recount_tiles_at_target();
 

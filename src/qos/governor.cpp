@@ -105,30 +105,21 @@ void QosGovernor::record_control(Cycle gpu_now, double cp) {
   telemetry_->on_qos_control(rec);
 }
 
-void QosGovernor::save(ckpt::StateWriter& w) const {
-  w.u64(logged_wg_);
-  w.boolean(logged_prio_);
-  w.boolean(signals_.estimating);
-  w.f64(signals_.predicted_fps);
-  w.f64(signals_.target_fps);
-  w.boolean(signals_.gpu_meets_target);
-  w.boolean(signals_.cpu_prio_boost);
-  w.f64(signals_.frame_progress);
-  w.boolean(signals_.gpu_urgent);
-  w.f64(signals_.gpu_latency_tolerance);
+template <class IO>
+void QosGovernor::visit_state(IO& io) {
+  io.u64(logged_wg_);
+  io.boolean(logged_prio_);
+  io.boolean(signals_.estimating);
+  io.f64(signals_.predicted_fps);
+  io.f64(signals_.target_fps);
+  io.boolean(signals_.gpu_meets_target);
+  io.boolean(signals_.cpu_prio_boost);
+  io.f64(signals_.frame_progress);
+  io.boolean(signals_.gpu_urgent);
+  io.f64(signals_.gpu_latency_tolerance);
 }
 
-void QosGovernor::load(ckpt::StateReader& r) {
-  logged_wg_ = r.u64();
-  logged_prio_ = r.boolean();
-  signals_.estimating = r.boolean();
-  signals_.predicted_fps = r.f64();
-  signals_.target_fps = r.f64();
-  signals_.gpu_meets_target = r.boolean();
-  signals_.cpu_prio_boost = r.boolean();
-  signals_.frame_progress = r.f64();
-  signals_.gpu_urgent = r.boolean();
-  signals_.gpu_latency_tolerance = r.f64();
-}
+void QosGovernor::save(ckpt::StateWriter& w) { visit_state(w); }
+void QosGovernor::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

@@ -51,10 +51,12 @@ class QosGovernor {
   /// Checkpoint the governor's log-edge state plus the shared QosSignals it
   /// owns the writes to (docs/CHECKPOINT.md). CT is derived from config and
   /// not persisted.
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   void record_control(Cycle gpu_now, double cp);
 
   QosConfig cfg_;  // ckpt:skip: construction parameter

@@ -65,40 +65,24 @@ std::uint64_t RtpTable::digest() const {
   return h.value();
 }
 
-void RtpTable::save(ckpt::StateWriter& w) const {
-  w.u64(entries_.size());
-  for (const RtpEntry& e : entries_) {
-    w.boolean(e.valid);
-    w.u32(e.updates);
-    w.u32(e.cycles);
-    w.u32(e.rtts);
-    w.u32(e.llc_accesses);
+template <class IO>
+void RtpTable::visit_state(IO& io) {
+  io.expect_size(entries_.size(), "RTP table capacity");
+  for (RtpEntry& e : entries_) {
+    io.boolean(e.valid);
+    io.u32(e.updates);
+    io.u32(e.cycles);
+    io.u32(e.rtts);
+    io.u32(e.llc_accesses);
   }
-  w.u32(used_);
-  w.u32(rtp_count_);
-  w.u64(total_cycles_);
-  w.u64(total_updates_);
-  w.u64(total_accesses_);
+  io.u32(used_);
+  io.u32(rtp_count_);
+  io.u64(total_cycles_);
+  io.u64(total_updates_);
+  io.u64(total_accesses_);
 }
 
-void RtpTable::load(ckpt::StateReader& r) {
-  if (const std::uint64_t n = r.u64(); n != entries_.size()) {
-    r.fail("RTP table capacity mismatch (snapshot has " + std::to_string(n) +
-           " entries, live table has " + std::to_string(entries_.size()) +
-           ")");
-  }
-  for (RtpEntry& e : entries_) {
-    e.valid = r.boolean();
-    e.updates = r.u32();
-    e.cycles = r.u32();
-    e.rtts = r.u32();
-    e.llc_accesses = r.u32();
-  }
-  used_ = r.u32();
-  rtp_count_ = r.u32();
-  total_cycles_ = r.u64();
-  total_updates_ = r.u64();
-  total_accesses_ = r.u64();
-}
+void RtpTable::save(ckpt::StateWriter& w) { visit_state(w); }
+void RtpTable::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

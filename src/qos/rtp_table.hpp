@@ -67,10 +67,12 @@ class RtpTable {
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Checkpoint every entry and accumulator (docs/CHECKPOINT.md).
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   std::vector<RtpEntry> entries_;
   unsigned used_ = 0;
   std::uint32_t rtp_count_ = 0;

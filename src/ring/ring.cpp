@@ -90,19 +90,17 @@ std::uint64_t RingNetwork::digest() const {
   return h.value();
 }
 
-void RingNetwork::save(ckpt::StateWriter& w) const {
-  w.u32(stops_);
-  for (const auto& dir : link_free_) {
-    for (Cycle c : dir) w.u64(c);
+template <class IO>
+void RingNetwork::visit_state(IO& io) {
+  std::uint32_t stops = stops_;
+  io.u32(stops);
+  io.require(stops == stops_, "ring stop count mismatch");
+  for (auto& dir : link_free_) {
+    for (Cycle& c : dir) io.u64(c);
   }
 }
 
-void RingNetwork::load(ckpt::StateReader& r) {
-  const std::uint32_t stops = r.u32();
-  if (stops != stops_) r.fail("ring stop count mismatch");
-  for (auto& dir : link_free_) {
-    for (Cycle& c : dir) c = r.u64();
-  }
-}
+void RingNetwork::save(ckpt::StateWriter& w) { visit_state(w); }
+void RingNetwork::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

@@ -59,10 +59,12 @@ class RingNetwork {
   /// delivered audit counters restart at zero on restore — consistent,
   /// because a drained ring has no message in flight and the auditor only
   /// proves delivered <= sent going forward.
-  void save(ckpt::StateWriter& w) const;
+  void save(ckpt::StateWriter& w);
   void load(ckpt::StateReader& r);
 
  private:
+  template <class IO>
+  void visit_state(IO& io);
   // Link i in direction 0 (clockwise) connects stop i -> (i+1) % stops_;
   // direction 1 is the reverse.
   Engine& engine_;

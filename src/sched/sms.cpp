@@ -130,27 +130,24 @@ void SmsScheduler::on_issue(const DramQueueEntry& entry) {
   }
 }
 
-void SmsScheduler::save(ckpt::StateWriter& w) const {
+template <class IO>
+void SmsScheduler::visit_state(IO& io) {
   for (const SourceState& st : sources_) {
-    if (!st.batches.empty()) {
-      throw ckpt::CkptError(
-          "SMS save() with batches still forming: the simulation was not "
-          "drained before checkpointing");
-    }
+    io.require(st.batches.empty(),
+               "SMS has batches still forming: the simulation was not "
+               "drained before checkpointing");
   }
-  rng_.save(w);
-  w.i64(current_source_);
-  w.u32(rr_pointer_);
-}
-
-void SmsScheduler::load(ckpt::StateReader& r) {
-  rng_.load(r);
-  const std::int64_t src = r.i64();
+  io.sub(rng_);
+  std::int64_t src = current_source_;
+  io.i64(src);
   if (src < -1 || src > std::numeric_limits<int>::max()) {
-    r.fail("sms: current_source " + std::to_string(src) + " out of range");
+    io.fail("sms: current_source " + std::to_string(src) + " out of range");
   }
   current_source_ = static_cast<int>(src);
-  rr_pointer_ = r.u32();
+  io.u32(rr_pointer_);
 }
+
+void SmsScheduler::save(ckpt::StateWriter& w) { visit_state(w); }
+void SmsScheduler::load(ckpt::StateReader& r) { visit_state(r); }
 
 }  // namespace gpuqos

@@ -38,7 +38,7 @@ class SmsScheduler : public IDramScheduler {
   /// save() (which runs only at a drained barrier) verifies that instead of
   /// serializing them.
   [[nodiscard]] bool has_ckpt_state() const override { return true; }
-  void save(ckpt::StateWriter& w) const override;
+  void save(ckpt::StateWriter& w) override;
   void load(ckpt::StateReader& r) override;
 
   static constexpr unsigned kMaxSources = 5;  // up to 4 CPUs + GPU
@@ -54,6 +54,8 @@ class SmsScheduler : public IDramScheduler {
     std::deque<Batch> batches;  // front = oldest
   };
 
+  template <class IO>
+  void visit_state(IO& io);
   [[nodiscard]] static unsigned source_index(const SourceId& s);
   void close_stale_batches(Cycle now);
 

@@ -134,6 +134,30 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
   Cycle t0 = 0;
   Cycle gpu_done_cycle = kNoCycle;
 
+  // --- The "run" section: the bookkeeping above, in one walk that both the
+  // snapshot writer and the resume reader drive.
+  auto visit_run = [&](auto& io) {
+    io.u8(stage);
+    io.u64(ckpt_interval);
+    io.u64(next_barrier);
+    io.u64(phase_cap);
+    if (stage > kStageMeasure) {
+      io.fail("unknown run stage " + std::to_string(stage));
+    }
+    if (stage != kStageMeasure) return;
+    io.map(snap, [&io](std::uint64_t& v) { io.u64(v); });
+    io.length(windows);
+    io.require(windows.size() == n, "core-window count mismatch");
+    for (CoreWindow& cw : windows) {
+      io.u64(cw.start_committed);
+      io.u64(cw.start_cycle);
+      io.u64(cw.done_cycle);
+    }
+    io.u64(frames0);
+    io.u64(t0);
+    io.u64(gpu_done_cycle);
+  };
+
   // --- Resume: meta, runner bookkeeping, then every module section. Loads
   // after attach_telemetry/attach_checks so the restored engine can verify
   // the ticker layout matches the instrumentation actually attached.
@@ -154,30 +178,7 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
     if (!r.next_section() || r.tag() != "run") {
       throw ckpt::CkptError("snapshot is missing the 'run' section");
     }
-    stage = r.u8();
-    ckpt_interval = r.u64();
-    next_barrier = r.u64();
-    phase_cap = r.u64();
-    if (stage == kStageMeasure) {
-      const std::uint64_t counters = r.u64();
-      for (std::uint64_t i = 0; i < counters; ++i) {
-        const std::string name = r.str();
-        snap[name] = r.u64();
-      }
-      const std::uint64_t cores = r.u64();
-      if (cores != n) r.fail("core-window count mismatch");
-      windows.assign(n, CoreWindow{});
-      for (CoreWindow& cw : windows) {
-        cw.start_committed = r.u64();
-        cw.start_cycle = r.u64();
-        cw.done_cycle = r.u64();
-      }
-      frames0 = r.u64();
-      t0 = r.u64();
-      gpu_done_cycle = r.u64();
-    } else if (stage > kStageMeasure) {
-      r.fail("unknown run stage " + std::to_string(stage));
-    }
+    visit_run(r);
     r.expect_section_end();
     cmp.load_state(r, hooks.resume_mode);
     if (telemetry != nullptr) telemetry->sampler().rebase(eng.now());
@@ -185,31 +186,11 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
 
   // --- Snapshot writing: meta, run bookkeeping, then every module. Callers
   // must have drained the simulation (cmp.drain()) first.
-  auto write_snapshot = [&](std::uint8_t snap_stage,
-                            std::vector<std::uint8_t>* memory_out) {
+  auto write_snapshot = [&](std::vector<std::uint8_t>* memory_out) {
     ckpt::StateWriter w;
     ckpt::save_meta(w, live_meta);
     w.begin_section("run");
-    w.u8(snap_stage);
-    w.u64(ckpt_interval);
-    w.u64(next_barrier);
-    w.u64(phase_cap);
-    if (snap_stage == kStageMeasure) {
-      w.u64(snap.size());
-      for (const auto& [name, value] : snap) {
-        w.str(name);
-        w.u64(value);
-      }
-      w.u64(windows.size());
-      for (const CoreWindow& cw : windows) {
-        w.u64(cw.start_committed);
-        w.u64(cw.start_cycle);
-        w.u64(cw.done_cycle);
-      }
-      w.u64(frames0);
-      w.u64(t0);
-      w.u64(gpu_done_cycle);
-    }
+    visit_run(w);
     w.end_section();
     cmp.save_state(w);
     if (memory_out != nullptr) {
@@ -247,7 +228,7 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
       if (ckpt_interval > 0 && eng.now() >= next_barrier) {
         ProfScope ps(prof, ProfModule::Ckpt);
         cmp.drain();
-        if (!hooks.ckpt_out.empty()) write_snapshot(stage, nullptr);
+        if (!hooks.ckpt_out.empty()) write_snapshot(nullptr);
         cmp.unfreeze_injectors();
         while (next_barrier <= eng.now()) next_barrier += ckpt_interval;
       }
@@ -277,7 +258,7 @@ HeteroResult run_cmp(const SimConfig& cfg, const std::string& mix_id,
     if (warm_snapshot) {
       ProfScope ps(prof, ProfModule::Ckpt);
       cmp.drain();
-      write_snapshot(kStageWarmDone, hooks.warm_capture);
+      write_snapshot(hooks.warm_capture);
       cmp.unfreeze_injectors();
     }
     if (hooks.warm_capture != nullptr) {

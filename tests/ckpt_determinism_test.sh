@@ -4,12 +4,17 @@
 # digest stream must match the uninterrupted run's stream from the snapshot
 # cycle onward. Also checks that truncated snapshots are rejected with a
 # clear error and a nonzero exit.
+#
+# usage: ckpt_determinism_test.sh GPUQOS_RUN DIGEST_DIFF MIX WORK [POLICY]
+# POLICY defaults to ThrotCPUprio; SMS-0.9 also round-trips the DRAM
+# schedulers' dramsched<c> sections, which a resume must restore.
 set -euo pipefail
 
 GPUQOS_RUN=$1
 DIGEST_DIFF=$2
 MIX=$3
 WORK=$4
+POLICY=${5:-ThrotCPUprio}
 
 mkdir -p "$WORK"
 export GPUQOS_FAST=1
@@ -21,7 +26,7 @@ SNAP="$WORK/$MIX.snap"
 
 # Straight run: snapshot overwritten at every barrier, each write announced
 # on stderr ("# ckpt: wrote <path> at cycle <C>").
-"$GPUQOS_RUN" "$MIX" ThrotCPUprio \
+"$GPUQOS_RUN" "$MIX" "$POLICY" \
     --ckpt-interval 2000000 --ckpt-out "$SNAP" \
     --digest-out "$WORK/$MIX.straight.digest" "${DIGEST_ARGS[@]}" \
     > /dev/null 2> "$WORK/$MIX.straight.err"
@@ -38,7 +43,7 @@ fi
 echo "last snapshot written at cycle $CYCLE"
 
 # Resume with the same instrumentation; must replay the suffix identically.
-"$GPUQOS_RUN" "$MIX" ThrotCPUprio --resume "$SNAP" \
+"$GPUQOS_RUN" "$MIX" "$POLICY" --resume "$SNAP" \
     --digest-out "$WORK/$MIX.resumed.digest" "${DIGEST_ARGS[@]}" > /dev/null
 
 RECORDS=$(grep -c . "$WORK/$MIX.resumed.digest" || true)
@@ -53,7 +58,7 @@ echo "straight-vs-resumed (from cycle $CYCLE, $RECORDS resumed records):"
 
 # Negative: a truncated snapshot must fail gracefully, not crash or run.
 head -c 150 "$SNAP" > "$WORK/$MIX.trunc.snap"
-if "$GPUQOS_RUN" "$MIX" ThrotCPUprio --resume "$WORK/$MIX.trunc.snap" \
+if "$GPUQOS_RUN" "$MIX" "$POLICY" --resume "$WORK/$MIX.trunc.snap" \
     "${DIGEST_ARGS[@]}" --digest-out "$WORK/$MIX.trunc.digest" \
     > /dev/null 2> "$WORK/$MIX.trunc.err"; then
   echo "FAIL: truncated snapshot was accepted" >&2

@@ -74,17 +74,20 @@ struct Table {
 EOF
 expect_rule det-hazard "$WORK/r5.hpp"
 
-# R8 state-order: load() reads the fields in the opposite order to save().
-cat > "$WORK/r8.hpp" <<'EOF'
+# R1 state-coverage through a walk: save() and load() forward to
+# visit_state(), which leaves out b_.
+cat > "$WORK/r1_walk.hpp" <<'EOF'
 #pragma once
-struct Snap {
-  void save(ckpt::StateWriter& w) const { w.u64(a_); w.u64(b_); }
-  void load(ckpt::StateReader& r) { b_ = r.u64(); a_ = r.u64(); }
+struct Walked {
+  void save(StateWriter& w) { visit_state(w); }
+  void load(StateReader& r) { visit_state(r); }
+  template <class IO>
+  void visit_state(IO& io) { io.u64(a_); }
   std::uint64_t a_ = 0;
   std::uint64_t b_ = 0;
 };
 EOF
-expect_rule state-order "$WORK/r8.hpp"
+expect_rule state-coverage "$WORK/r1_walk.hpp"
 
 # R11 narrowing-cast: a 64-bit read truncated to int with no range check.
 cat > "$WORK/r11.cpp" <<'EOF'

@@ -3,6 +3,7 @@
 // compatibility check, whole-CMP save -> load -> digest equality, warm-state
 // forking, and the deprecated runner overloads.
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -351,6 +352,53 @@ TEST(CkptCmp, MissingSectionIsRejectedOnResume) {
   } catch (const CkptError& e) {
     EXPECT_NE(std::string(e.what()).find("gpu"), std::string::npos)
         << "error should name the missing section: " << e.what();
+  }
+}
+
+TEST(CkptCmp, ForgedContainerLengthIsRejectedBeforeSizing) {
+  const SimConfig cfg = Presets::scaled();
+  auto a = build_m8(cfg, Policy::Baseline);
+  a->engine().run_for(200'000);
+  a->drain();
+  StateWriter w;
+  a->save_state(w);
+
+  // Re-frame the snapshot with the "frpu" section's tile_updates length set
+  // to 2^62 (a fresh CRC, so only the length is wrong). The frpu payload
+  // starts with phase (u8), the RTP table (u64 entry count, 17 bytes per
+  // entry, u32 u32 u64 u64 u64), in_frame (u8), frame_start (u64),
+  // num_tiles (u32) and px_per_tile (u64); the length follows.
+  StateReader in(w.finish());
+  StateWriter out;
+  while (in.next_section()) {
+    std::vector<std::uint8_t> payload(in.remaining());
+    in.bytes(payload.data(), payload.size());
+    if (in.tag() == "frpu") {
+      std::uint64_t entries = 0;
+      std::memcpy(&entries, payload.data() + 1, sizeof entries);
+      const std::size_t tiles_at = 1 + 8 + entries * 17 + 32 + 1 + 8;
+      const std::size_t length_at = tiles_at + 4 + 8;
+      std::uint32_t tiles = 0;
+      std::uint64_t length = 0;
+      std::memcpy(&tiles, payload.data() + tiles_at, sizeof tiles);
+      std::memcpy(&length, payload.data() + length_at, sizeof length);
+      ASSERT_EQ(length, tiles) << "frpu layout changed; update the offsets";
+      const std::uint64_t forged = std::uint64_t{1} << 62;
+      std::memcpy(payload.data() + length_at, &forged, sizeof forged);
+    }
+    out.begin_section(in.tag());
+    out.bytes(payload.data(), payload.size());
+    out.end_section();
+  }
+
+  auto b = build_m8(cfg, Policy::Baseline);
+  StateReader r(out.finish());
+  try {
+    b->load_state(r, RestoreMode::kResume);
+    FAIL() << "snapshot with a forged length was accepted";
+  } catch (const CkptError& e) {
+    EXPECT_NE(std::string(e.what()).find("section 'frpu'"), std::string::npos)
+        << "error should name the forged section: " << e.what();
   }
 }
 

@@ -184,6 +184,59 @@ struct Legacy {
   EXPECT_EQ(r.nolint_suppressed, 2);  // save and load findings for b_
 }
 
+// save() and load() forward to one visit_state() walk, defined out of line
+// the way src/ does it; the walk names every checkpointed field.
+constexpr const char* kWalkHpp = R"cpp(
+#pragma once
+struct Walked {
+  void save(StateWriter& w) { visit_state(w); }
+  void load(StateReader& r) { visit_state(r); }
+  std::uint64_t digest() const;
+ private:
+  template <class IO>
+  void visit_state(IO& io);
+  std::uint64_t count_ = 0;
+  std::vector<std::uint32_t> slots_;
+  bool flag_ = false;
+};
+)cpp";
+
+constexpr const char* kWalkCpp = R"cpp(
+#include "walked.hpp"
+template <class IO>
+void Walked::visit_state(IO& io) {
+  io.u64(count_);
+  io.length(slots_);
+  for (std::uint32_t& s : slots_) io.u32(s);
+  io.boolean(flag_);
+}
+std::uint64_t Walked::digest() const {
+  Fnv1a64 h;
+  h.mix(count_);
+  for (std::uint32_t s : slots_) h.mix(s);
+  h.mix_bool(flag_);
+  return h.value();
+}
+)cpp";
+
+TEST(StateCoverage, SaveAndLoadForwardingToACompleteWalkAreClean) {
+  const LintResult r = lint_files({SourceFile{"fx/walked.hpp", kWalkHpp},
+                                   SourceFile{"fx/walked.cpp", kWalkCpp}});
+  EXPECT_TRUE(r.findings.empty());
+}
+
+TEST(StateCoverage, FieldMissingFromTheWalkIsFoundForSaveAndLoad) {
+  std::string cpp = kWalkCpp;
+  const std::string dropped = "  io.boolean(flag_);\n";
+  cpp.erase(cpp.find(dropped), dropped.size());
+  const LintResult r = lint_files({SourceFile{"fx/walked.hpp", kWalkHpp},
+                                   SourceFile{"fx/walked.cpp", cpp}});
+  EXPECT_EQ(count_rule(r, kRuleStateCoverage), 2);  // save and load
+  for (const Finding& f : r.findings) {
+    EXPECT_EQ(f.symbol, "Walked::flag_");
+  }
+}
+
 // ---- R2: thread-purity ----------------------------------------------------
 
 TEST(ThreadPurity, NamespaceStateReachableFromRootIsFound) {
@@ -611,140 +664,6 @@ void f(bool c) {
 )cpp");
   ASSERT_EQ(saw.size(), 1u);
   EXPECT_TRUE(saw[0]);  // the taken return leaves one reachable predecessor
-}
-
-// ---- R8: state-order ------------------------------------------------------
-
-// The acceptance demo: load() reads the two fields in the opposite order to
-// save() — byte-compatible by accident today, a CRC mismatch the moment the
-// types diverge.
-constexpr const char* kFieldReorder = R"cpp(
-#pragma once
-struct Snap {
-  void save(ckpt::StateWriter& w) const {
-    w.u64(a_);
-    w.u64(b_);
-  }
-  void load(ckpt::StateReader& r) {
-    b_ = r.u64();
-    a_ = r.u64();
-  }
-  std::uint64_t a_ = 0;
-  std::uint64_t b_ = 0;
-};
-)cpp";
-
-TEST(StateOrder, FieldReorderBetweenSaveAndLoadIsFound) {
-  const LintResult r = lint_one("fx/snap.hpp", kFieldReorder);
-  EXPECT_EQ(count_rule(r, kRuleStateOrder), 1);
-  EXPECT_TRUE(has_symbol(r, "Snap::load"));
-}
-
-TEST(StateOrder, PrimStreamTypeMismatchIsFound) {
-  const LintResult r = lint_one("fx/snap.hpp", R"cpp(
-#pragma once
-struct Snap {
-  void save(ckpt::StateWriter& w) const { w.u64(a_); }
-  void load(ckpt::StateReader& r) { a_ = r.u32(); }
-  std::uint64_t a_ = 0;
-};
-)cpp");
-  ASSERT_EQ(count_rule(r, kRuleStateOrder), 1);
-  for (const Finding& f : r.findings) {
-    if (f.rule == kRuleStateOrder) {
-      EXPECT_NE(f.message.find("byte order must be symmetric"),
-                std::string::npos);
-    }
-  }
-}
-
-TEST(StateOrder, OpCountDriftNamesTheFirstUnmatchedStep) {
-  const LintResult r = lint_one("fx/snap.hpp", R"cpp(
-#pragma once
-struct Snap {
-  void save(ckpt::StateWriter& w) const {
-    w.u64(a_);
-    w.boolean(flag_);
-  }
-  void load(ckpt::StateReader& r) { a_ = r.u64(); }
-  std::uint64_t a_ = 0;
-  bool flag_ = false;
-};
-)cpp");
-  ASSERT_EQ(count_rule(r, kRuleStateOrder), 1);
-  EXPECT_TRUE(has_symbol(r, "Snap::save"));
-}
-
-TEST(StateOrder, DigestFoldOrderMustMatchSave) {
-  const LintResult r = lint_one("fx/snap.hpp", R"cpp(
-#pragma once
-struct Snap {
-  void save(ckpt::StateWriter& w) const {
-    w.u64(a_);
-    w.u64(b_);
-  }
-  void load(ckpt::StateReader& r) {
-    a_ = r.u64();
-    b_ = r.u64();
-  }
-  std::uint64_t digest() const {
-    Fnv1a64 h;
-    h.mix(b_);
-    h.mix(a_);
-    return h.value();
-  }
-  std::uint64_t a_ = 0;
-  std::uint64_t b_ = 0;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleStateOrder), 1);
-  EXPECT_TRUE(has_symbol(r, "Snap::digest"));
-}
-
-TEST(StateOrder, SoaLaneLoopAndSubObjectHopsAreClean) {
-  const LintResult r = lint_one("fx/snap.hpp", R"cpp(
-#pragma once
-struct Snap {
-  void save(ckpt::StateWriter& w) const {
-    w.u64(gen_.size());
-    for (std::size_t i = 0; i < gen_.size(); ++i) {
-      w.u32(gen_[i]);
-      w.u64(ready_[i]);
-    }
-    rng_.save(w);
-  }
-  void load(ckpt::StateReader& r) {
-    gen_.resize(r.u64());
-    ready_.resize(gen_.size());
-    for (std::size_t i = 0; i < gen_.size(); ++i) {
-      gen_[i] = r.u32();
-      ready_[i] = r.u64();
-    }
-    rng_.load(r);
-  }
-  std::vector<std::uint32_t> gen_;
-  std::vector<std::uint64_t> ready_;
-  Rng rng_;
-};
-)cpp");
-  EXPECT_EQ(count_rule(r, kRuleStateOrder), 0);
-}
-
-TEST(StateOrder, OrderOkAnnotationEscapes) {
-  std::string text = kFieldReorder;
-  const std::string anchor = "void load";
-  text.insert(text.find(anchor), "/*order:ok: legacy layout*/ ");
-  const LintResult r = lint_one("fx/snap.hpp", text);
-  EXPECT_EQ(count_rule(r, kRuleStateOrder), 0);
-}
-
-TEST(StateOrder, NolintSuppresses) {
-  std::string text = kFieldReorder;
-  const std::string anchor = "b_ = r.u64();";
-  text.insert(text.find(anchor) + anchor.size(),
-              "  // NOLINT-gpuqos(state-order)");
-  const LintResult r = lint_one("fx/snap.hpp", text);
-  EXPECT_EQ(count_rule(r, kRuleStateOrder), 0);
 }
 
 // ---- R11: narrowing-cast --------------------------------------------------

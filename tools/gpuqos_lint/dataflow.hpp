@@ -1,4 +1,4 @@
-// Per-function dataflow helpers for the semantic rules (R5, R8, R11): local
+// Per-function dataflow helpers for the semantic rules (R5, R11): local
 // declaration scanning, type classification, and annotation lookup. All
 // heuristics over the flat token stream — precise enough for the project's
 // house style, over-approximate elsewhere.
@@ -31,7 +31,7 @@ struct LocalVar {
 
 /// Whether a comment containing `tag` sits on `line` or on an own-line
 /// comment directly above it — the escape-hatch placement rule for
-/// /*det:ok: ...*/, /*order:ok: ...*/ and /*narrow:ok: ...*/ annotations.
+/// /*det:ok: ...*/ and /*narrow:ok: ...*/ annotations.
 [[nodiscard]] bool line_annotated(const ParsedFile& pf, int line,
                                   const char* tag);
 

@@ -14,8 +14,7 @@ namespace gpuqos::lint {
 const std::vector<std::string>& all_rules() {
   static const std::vector<std::string> kRules = {
       kRuleStateCoverage, kRuleThreadPurity, kRuleCheckHygiene,
-      kRuleHeaderHygiene, kRuleDetHazard,    kRuleStateOrder,
-      kRuleNarrowingCast};
+      kRuleHeaderHygiene, kRuleDetHazard,    kRuleNarrowingCast};
   return kRules;
 }
 
@@ -143,7 +142,6 @@ LintResult run_lint(const std::vector<SourceFile>& files) {
   const Symtab st = build_symtab(view);
   const CallGraph cg = build_callgraph(st);
   rule_det_hazard(st, cg, kDetRoots, raw);
-  rule_state_order(st, raw);
   rule_narrowing_cast(st, raw);
 
   std::map<std::string, Suppressions> by_file;

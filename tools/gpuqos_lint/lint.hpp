@@ -22,15 +22,11 @@
 //                         or float accumulation-order dependence in code
 //                         reachable from tick()/digest()/save()/load()
 //                         (/*det:ok: reason*/ escapes a deliberate use);
-//   state-order     (R8)  save()/load()/digest() must walk state in the
-//                         *same order*, not just cover it: primitive
-//                         write/read sequences and field first-touch order
-//                         are compared pairwise (/*order:ok: reason*/);
 //   narrowing-cast  (R11) static_cast of 64-bit size/cycle expressions to a
 //                         narrower type with no dominating range check and
 //                         no masking/shift (/*narrow:ok: reason*/).
 //
-// R5, R8 and R11 run on a cross-TU symbol table + call graph (symtab.hpp,
+// R5 and R11 run on a cross-TU symbol table + call graph (symtab.hpp,
 // callgraph.hpp): receivers with a known declared type bind to that class's
 // methods, everything else falls back to name matching. R11 additionally
 // runs a forward abstract interpretation over per-function CFGs (cfg.hpp,
@@ -54,7 +50,6 @@ inline constexpr const char* kRuleThreadPurity = "thread-purity";
 inline constexpr const char* kRuleCheckHygiene = "check-hygiene";
 inline constexpr const char* kRuleHeaderHygiene = "header-hygiene";
 inline constexpr const char* kRuleDetHazard = "det-hazard";
-inline constexpr const char* kRuleStateOrder = "state-order";
 inline constexpr const char* kRuleNarrowingCast = "narrowing-cast";
 
 /// All rule names, in reporting order.

@@ -11,6 +11,9 @@ namespace gpuqos::lint {
 void rule_state_coverage(const std::vector<const ParsedFile*>& files,
                          std::vector<Finding>& out) {
   static const char* kTriple[] = {"save", "load", "digest"};
+  // save() and load() that forward to one visit_state() walk cover the
+  // fields the walk names.
+  static const char* kWalk = "visit_state";
 
   // Merge out-of-line member definitions into each class's method table.
   // Classes are matched by unqualified name: the project keeps one class per
@@ -30,28 +33,18 @@ void rule_state_coverage(const std::vector<const ParsedFile*>& files,
   for (const ParsedFile* pf : files) {
     for (const FunctionDef& fn : pf->functions) {
       if (fn.qual_class.empty()) continue;
-      for (const char* m : kTriple) {
-        if (fn.name == m) {
-          bodies[fn.qual_class][fn.name].insert(fn.body_idents.begin(),
-                                                fn.body_idents.end());
-        }
-      }
+      bodies[fn.qual_class][fn.name].insert(fn.body_idents.begin(),
+                                            fn.body_idents.end());
     }
   }
 
   for (const auto& [name, ref] : classes) {
     const ClassDecl& c = *ref.decl;
-    bool has_any = false;
-    for (const char* m : kTriple) {
+    // Identifiers of method `m`'s in-class and out-of-line bodies.
+    auto body_of = [&](const char* m) {
+      std::set<std::string> body;
       auto it = c.methods.find(m);
-      if (it != c.methods.end() && it->second.declared) has_any = true;
-    }
-    if (!has_any) continue;
-
-    for (const char* m : kTriple) {
-      auto it = c.methods.find(m);
-      if (it == c.methods.end() || !it->second.declared) continue;
-      std::set<std::string> body = it->second.body_idents;
+      if (it != c.methods.end()) body = it->second.body_idents;
       auto bc = bodies.find(name);
       if (bc != bodies.end()) {
         auto bm = bc->second.find(m);
@@ -59,11 +52,23 @@ void rule_state_coverage(const std::vector<const ParsedFile*>& files,
           body.insert(bm->second.begin(), bm->second.end());
         }
       }
+      return body;
+    };
+    for (const char* m : kTriple) {
+      auto it = c.methods.find(m);
+      if (it == c.methods.end() || !it->second.declared) continue;
+      std::set<std::string> body = body_of(m);
+      const bool is_digest = std::string(m) == "digest";
+      if (!is_digest && body.count(kWalk) != 0) {
+        const std::set<std::string> walk = body_of(kWalk);
+        // The walk is not in the scanned set: nothing to check against.
+        if (walk.empty()) continue;
+        body.insert(walk.begin(), walk.end());
+      }
       // Declared but never defined in the scanned set (pure virtual, or the
       // definition lives outside the input): nothing to check against.
       if (body.empty()) continue;
 
-      const bool is_digest = std::string(m) == "digest";
       for (const FieldDecl& f : c.fields) {
         if (f.is_ref || f.is_ptr) continue;  // non-owning wiring
         if (is_digest ? f.skip_digest : f.skip_ckpt) continue;

@@ -48,7 +48,8 @@ inline std::size_t match_close(const std::vector<Token>& t, std::size_t open,
 
 // ---- rule families ---------------------------------------------------------
 
-/// R1: save/load/digest field coverage, cross-file (out-of-line bodies).
+/// R1: save/load/digest field coverage, cross-file (out-of-line bodies); a
+/// save()/load() that forwards to visit_state() is read through the walk.
 void rule_state_coverage(const std::vector<const ParsedFile*>& files,
                          std::vector<Finding>& out);
 
@@ -69,11 +70,6 @@ void rule_header_hygiene(const ParsedFile& file, std::vector<Finding>& out);
 void rule_det_hazard(const Symtab& st, const CallGraph& cg,
                      const std::vector<std::string>& det_roots,
                      std::vector<Finding>& out);
-
-/// R8: save/load/digest state-order symmetry — primitive write/read call
-/// sequences and field first-touch order must match pairwise.
-/// /*order:ok: reason*/ escapes.
-void rule_state_order(const Symtab& st, std::vector<Finding>& out);
 
 /// R11: narrowing static_casts of 64-bit size/cycle expressions without a
 /// dominating range check or masking idiom. /*narrow:ok: reason*/.

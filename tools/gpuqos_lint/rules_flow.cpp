@@ -1,20 +1,13 @@
-// Flow-sensitive rule families R8 and R11 (docs/ANALYSIS.md, "gpuqos-lint").
+// Flow-sensitive rule family R11 (docs/ANALYSIS.md, "gpuqos-lint").
 //
-// R8 (state-order) is sequence-based: it extracts the ordered stream of
-// StateWriter/StateReader primitive calls and sub-object save/load calls from
-// each class's save()/load() bodies and demands they line up pairwise, then
-// checks that the first-touch order of fields common to save/load (and
-// save/digest) agrees. R11 (narrowing-cast) runs the abstract interpreter
-// (absint.hpp) over per-function CFGs (cfg.hpp) with "c:<chain>" must-facts
-// marking values a comparison dominates, consumed by static_cast-to-narrow
-// sites.
+// R11 (narrowing-cast) runs the abstract interpreter (absint.hpp) over
+// per-function CFGs (cfg.hpp) with "c:<chain>" must-facts marking values a
+// comparison dominates, consumed by static_cast-to-narrow sites.
 // All of it is token-stream heuristics in the house style of rules_sem.cpp:
 // precise on this project's idioms, conservative elsewhere.
-#include <algorithm>
 #include <cctype>
 #include <initializer_list>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -166,231 +159,6 @@ const std::initializer_list<const char*> kComparisons = {"<",  "<=", ">",
                                                          ">=", "==", "!="};
 
 }  // namespace
-
-// ---- R8: state-order ------------------------------------------------------
-
-namespace {
-
-const std::set<std::string>& reader_writer_prims() {
-  static const std::set<std::string> kPrims = {
-      "u8", "u16", "u32", "u64", "i32", "i64", "f64", "boolean", "str",
-      "bytes"};
-  return kPrims;
-}
-
-struct StateOp {
-  bool sub = false;   // sub-object save/load/digest call
-  std::string what;   // primitive name, or the sub-object receiver
-  int line = 0;
-};
-
-struct StateSeq {
-  const SymFn* fn = nullptr;
-  std::vector<StateOp> ops;
-  std::vector<std::string> field_order;  // first-touch order
-  std::map<std::string, int> field_line;
-};
-
-std::string describe(const StateOp& op) {
-  return op.sub ? "sub-state '" + op.what + "'" : "." + op.what + "()";
-}
-
-/// Receiver identifier of a `.save(`/`.load(`/`.digest(` call: the ident
-/// before the member operator, hopping back over one `[...]` subscript.
-std::string sub_receiver(const std::vector<Token>& t, std::size_t dot,
-                         std::size_t lo) {
-  if (dot <= lo) return "";
-  std::size_t j = dot - 1;
-  if (t[j].kind == Tok::Punct && t[j].text == "]") {
-    int depth = 0;
-    while (j > lo) {
-      if (t[j].kind == Tok::Punct && t[j].text == "]") ++depth;
-      if (t[j].kind == Tok::Punct && t[j].text == "[" && --depth == 0) {
-        if (j == lo) return "";
-        --j;
-        break;
-      }
-      --j;
-    }
-  }
-  return t[j].kind == Tok::Ident ? t[j].text : "";
-}
-
-enum class Role { kSave, kLoad, kDigest };
-
-StateSeq extract_seq(const SymClass& cls, const SymFn& fn, Role role) {
-  StateSeq seq;
-  seq.fn = &fn;
-  const std::vector<Token>& t = fn.file->ts.tokens;
-  if (fn.def->body_end <= fn.def->body_begin) return seq;
-
-  // The serialization stream parameter (save/load only).
-  std::string stream;
-  if (role != Role::kDigest) {
-    const char* want =
-        role == Role::kSave ? "StateWriter" : "StateReader";
-    for (const ParamDecl& p : fn.def->params) {
-      if (!p.name.empty() && p.type.find(want) != std::string::npos) {
-        stream = p.name;
-        break;
-      }
-    }
-  }
-  const char* sub_call = role == Role::kSave    ? "save"
-                         : role == Role::kLoad  ? "load"
-                                                : "digest";
-
-  const std::size_t lo = fn.def->body_begin;
-  for (std::size_t k = lo + 1; k + 1 < fn.def->body_end; ++k) {
-    if (t[k].kind != Tok::Ident) continue;
-    const std::string& s = t[k].text;
-    // Primitive stream op: w.u64(...), r.str(...).
-    if (!stream.empty() && s == stream && k + 3 < fn.def->body_end &&
-        t[k + 1].kind == Tok::Punct &&
-        (t[k + 1].text == "." || t[k + 1].text == "->") &&
-        t[k + 2].kind == Tok::Ident && t[k + 3].kind == Tok::Punct &&
-        t[k + 3].text == "(" &&
-        reader_writer_prims().count(t[k + 2].text) != 0) {
-      seq.ops.push_back(StateOp{false, t[k + 2].text, t[k + 2].line});
-    }
-    // Sub-object hop: rob_.save(w) / rob_.load(r) / h.mix(rob_.digest()).
-    if (s == sub_call && k > lo && k + 1 < fn.def->body_end &&
-        t[k - 1].kind == Tok::Punct &&
-        (t[k - 1].text == "." || t[k - 1].text == "->") &&
-        t[k + 1].kind == Tok::Punct && t[k + 1].text == "(") {
-      const std::string recv = sub_receiver(t, k - 1, lo);
-      if (!recv.empty() && recv != stream) {
-        seq.ops.push_back(StateOp{true, recv, t[k].line});
-      }
-    }
-    // Field first-touch order. Access through another object (x.field)
-    // doesn't touch our field; `this->field` does.
-    if (cls.fields.count(s) != 0) {
-      const bool through_other =
-          t[k - 1].kind == Tok::Punct &&
-          (t[k - 1].text == "." || t[k - 1].text == "::" ||
-           (t[k - 1].text == "->" &&
-            !(k >= 2 && t[k - 2].kind == Tok::Ident &&
-              t[k - 2].text == "this")));
-      if (!through_other && seq.field_line.emplace(s, t[k].line).second) {
-        seq.field_order.push_back(s);
-      }
-    }
-  }
-  return seq;
-}
-
-/// Fields present in both sequences, in `a`'s order.
-std::vector<std::string> common_fields(const StateSeq& a, const StateSeq& b) {
-  std::vector<std::string> out;
-  for (const std::string& f : a.field_order) {
-    if (b.field_line.count(f) != 0) out.push_back(f);
-  }
-  return out;
-}
-
-}  // namespace
-
-void rule_state_order(const Symtab& st, std::vector<Finding>& out) {
-  // Group save/load/digest definitions by their class.
-  struct Trio {
-    const SymFn* save = nullptr;
-    const SymFn* load = nullptr;
-    const SymFn* digest = nullptr;
-  };
-  std::map<std::string, Trio> by_class;
-  for (const SymFn& fn : st.fns) {
-    if (fn.def->qual_class.empty() ||
-        fn.def->body_end <= fn.def->body_begin) {
-      continue;
-    }
-    Trio& trio = by_class[fn.def->qual_class];
-    if (fn.def->name == "save" && trio.save == nullptr) trio.save = &fn;
-    if (fn.def->name == "load" && trio.load == nullptr) trio.load = &fn;
-    if (fn.def->name == "digest" && trio.digest == nullptr) trio.digest = &fn;
-  }
-
-  auto emit = [&](const SymFn& at, int line, const std::string& cls,
-                  const std::string& msg) {
-    if (line_annotated(*at.file, line, "order:ok")) return;
-    if (line_annotated(*at.file, at.def->line, "order:ok")) return;
-    out.push_back(make(kRuleStateOrder, at.file->path, line,
-                       cls + "::" + at.def->name, msg));
-  };
-
-  for (const auto& [qual, trio] : by_class) {
-    const SymClass* cls = st.find_class(qual);
-    if (cls == nullptr) cls = st.find_class(simple_name(qual));
-    if (cls == nullptr || trio.save == nullptr || trio.load == nullptr) {
-      continue;
-    }
-    const StateSeq save = extract_seq(*cls, *trio.save, Role::kSave);
-    const StateSeq load = extract_seq(*cls, *trio.load, Role::kLoad);
-    if (save.ops.empty() && load.ops.empty()) continue;
-
-    // 1) The primitive/sub-call streams must agree element by element —
-    //    this is the byte order of the snapshot.
-    bool stream_diverged = false;
-    const std::size_t n = std::min(save.ops.size(), load.ops.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const StateOp& a = save.ops[i];
-      const StateOp& b = load.ops[i];
-      if (a.sub == b.sub && a.what == b.what) continue;
-      emit(*trio.load, b.line, cls->name,
-           "save() step " + std::to_string(i + 1) + " writes " + describe(a) +
-               " but load() reads " + describe(b) +
-               " — snapshot byte order must be symmetric "
-               "(/*order:ok: reason*/ if the asymmetry is deliberate)");
-      stream_diverged = true;
-      break;
-    }
-    if (!stream_diverged && save.ops.size() != load.ops.size()) {
-      const bool save_longer = save.ops.size() > load.ops.size();
-      const SymFn& at = save_longer ? *trio.save : *trio.load;
-      const StateOp& extra =
-          save_longer ? save.ops[load.ops.size()] : load.ops[save.ops.size()];
-      emit(at, extra.line, cls->name,
-           "save() has " + std::to_string(save.ops.size()) +
-               " serialization steps but load() has " +
-               std::to_string(load.ops.size()) + " — first unmatched is " +
-               describe(extra) +
-               " (save/load drift shows up as a runtime CRC mismatch)");
-      stream_diverged = true;
-    }
-
-    // 2) First-touch order of the fields both bodies reference (load-only
-    //    reconstruction like derived tables is fine and ignored here).
-    if (!stream_diverged) {
-      const std::vector<std::string> in_save = common_fields(save, load);
-      const std::vector<std::string> in_load = common_fields(load, save);
-      for (std::size_t i = 0; i < in_save.size() && i < in_load.size(); ++i) {
-        if (in_save[i] == in_load[i]) continue;
-        emit(*trio.load, load.field_line.at(in_load[i]), cls->name,
-             "save() touches field '" + in_save[i] + "' before '" +
-                 in_load[i] + "' but load() touches '" + in_load[i] +
-                 "' first — reorder one side so the state walk matches");
-        break;
-      }
-    }
-
-    // 3) digest() should fold the shared fields in save order, so a digest
-    //    divergence localizes to the field that changed, not the mix order.
-    if (trio.digest != nullptr) {
-      const StateSeq dig = extract_seq(*cls, *trio.digest, Role::kDigest);
-      const std::vector<std::string> in_save = common_fields(save, dig);
-      const std::vector<std::string> in_dig = common_fields(dig, save);
-      for (std::size_t i = 0; i < in_save.size() && i < in_dig.size(); ++i) {
-        if (in_save[i] == in_dig[i]) continue;
-        emit(*trio.digest, dig.field_line.at(in_dig[i]), cls->name,
-             "digest() mixes field '" + in_dig[i] + "' before '" +
-                 in_save[i] + "' but save() writes '" + in_save[i] +
-                 "' first — keep the fold order aligned with the snapshot "
-                 "walk");
-        break;
-      }
-    }
-  }
-}
 
 // ---- R11: narrowing-cast --------------------------------------------------
 
